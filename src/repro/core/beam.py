@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from repro.data.dataset import Side, TwoViewDataset
-from repro.core.bitset import BitMatrix
+from repro.core.bitset import BitMatrix, cooccur_grid
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import TranslationRule
 from repro.core.state import CoverState
@@ -96,6 +96,7 @@ class TranslatorBeam:
         self._executor = None
         self._left_bits: BitMatrix | None = None
         self._right_bits: BitMatrix | None = None
+        self._cooccur: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -141,6 +142,17 @@ class TranslatorBeam:
         else:
             self._left_bits = BitMatrix.from_bool_columns(dataset.left)
             self._right_bits = BitMatrix.from_bool_columns(dataset.right)
+        # Which single-item pairs co-occur: static per dataset, so the
+        # seed pairs of every iteration share one grid.
+        if self._left_bits is not None:
+            self._cooccur = cooccur_grid(
+                self._left_bits.words, self._right_bits.words
+            )
+        else:
+            self._cooccur = cooccur_grid(
+                BitMatrix.from_bool_columns(dataset.left).words,
+                BitMatrix.from_bool_columns(dataset.right).words,
+            )
         from repro.runtime.executor import ParallelExecutor, effective_n_jobs
 
         if effective_n_jobs(self.n_jobs) > 1:
@@ -186,10 +198,7 @@ class TranslatorBeam:
             state.codes.lengths_left[:, None] + state.codes.lengths_right[None, :]
         )
         score = forward + backward - length_grid
-        cooccur = (
-            dataset.left.T.astype(np.int32) @ dataset.right.astype(np.int32)
-        ) > 0
-        score = np.where(cooccur & np.isfinite(score), score, -np.inf)
+        score = np.where(self._cooccur & np.isfinite(score), score, -np.inf)
         flat_order = np.argsort(score, axis=None)[::-1][: self.n_seeds]
         pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for index in flat_order:

@@ -93,6 +93,7 @@ __all__ = [
     "and_reduce_many_rows",
     "and_reduce_rows",
     "child_metrics_rows",
+    "cooccur_grid",
     "fixed_weight_table",
     "fixed_weighted_popcount",
     "match_union_rows",
@@ -275,6 +276,8 @@ BACKENDS = ("auto", "numpy", "native")
 # Rows per chunk for the numpy (batch, sets, words) broadcasts; bounds
 # peak memory at ~chunk * n_sets * n_words * 8 B.
 _CHUNK_ROWS = 1024
+# Words per cooccur_grid broadcast chunk (8 MiB of uint64).
+_GRID_WORDS = 1 << 20
 
 
 def _native_available() -> bool:
@@ -399,40 +402,105 @@ def child_metrics_rows(
     rows: np.ndarray,
     supp: np.ndarray,
     supp_other: np.ndarray,
-    gain_table: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    weights: np.ndarray,
     wsum_table: np.ndarray | None = None,
     backend: str = "auto",
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """Fused per-row search metrics over ``new = rows[i] & supp``.
+    """Per-row search metrics over ``new = rows[i] & supp``.
 
     Returns ``(wsums, gains, counts, joints)`` — for every packed row:
-    the fixed-point weighted popcounts of ``new`` under ``wsum_table``
-    (``None`` when the table is) and ``gain_table``, ``|new|``, and
-    ``|new & supp_other|``.  This is the one call the native search
-    backend makes per node in place of the dense four-column GEMM; the
-    numpy path here is the order-independent reference used by the
-    property tests (the search's numpy backend keeps its original GEMM
-    formulation, which is equal bit for bit).
+    the fixed-point weighted popcount of ``new`` under ``wsum_table``
+    (``None`` when the table is), the popcount-exact gain
+    ``sum(weights[k] * (|new & pos[k]| - |new & neg[k]|))`` over the
+    packed sign planes ``pos``/``neg``, ``|new|`` and ``|new &
+    supp_other|``.  These are the metrics the native search computes for
+    one side of a frame inside its single per-frame
+    ``NativeKernel.child_metrics`` call (the planes are a rule side's
+    net-sign columns, ``weights`` their code lengths), so the native path
+    here binds the rows as one side of a search context and runs that
+    call; the numpy path is the order-independent reference the property
+    tests check it against.
     """
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    supp = np.ascontiguousarray(supp, dtype=np.uint64)
+    supp_other = np.ascontiguousarray(supp_other, dtype=np.uint64)
+    pos = np.ascontiguousarray(pos, dtype=np.uint64)
+    neg = np.ascontiguousarray(neg, dtype=np.uint64)
+    weights = np.asarray(weights, dtype=np.int64)
     kernel = native_kernel(backend)
     if _obs.ACTIVE is not None:
         _obs.ACTIVE.count_bitset(
             "child_metrics_rows", "native" if kernel is not None else "numpy"
         )
+    n_rows, n_words = rows.shape
     if kernel is not None:
-        return kernel.child_metrics(rows, supp, supp_other, gain_table, wsum_table)
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+        context = kernel.bind_search_context(
+            n_words,
+            items=(rows, np.zeros((0, n_words), dtype=np.uint64)),
+            columns=(np.zeros(n_rows, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+            universe=(np.arange(n_rows), np.zeros(0, dtype=np.int64)),
+            pos=(np.zeros((1, n_words), dtype=np.uint64), pos),
+            neg=(np.zeros((1, n_words), dtype=np.uint64), neg),
+            wq=(np.zeros(1, dtype=np.int64), weights),
+            tub=(
+                np.zeros(n_words * WORD_BITS, dtype=np.int64)
+                if wsum_table is None
+                else wsum_table,
+                np.zeros(n_words * WORD_BITS, dtype=np.int64),
+            ),
+            full=pack_mask(np.ones(n_words * WORD_BITS, dtype=bool)),
+        )
+        (counts, joints, wsums, gains, __), *__ = kernel.child_metrics(
+            context, supp, supp_other, 0, 0, (), tuple(range(weights.size)),
+            wsum_table is not None, False, False,
+        )
+        return (
+            None if wsum_table is None else wsums.astype(np.int64),
+            gains.astype(np.int64),
+            counts.astype(np.int64),
+            joints.astype(np.int64),
+        )
     new = rows & supp
     counts = popcount_rows(new)
     joints = popcount_rows(new & supp_other)
-    # Integer sums < 2**51 are exact in float64, so riding BLAS here is
-    # still bit-identical to the int64 accumulation of the C kernel.
-    bits = _row_bits(new).astype(np.float64)
-    gains = np.rint(bits @ gain_table.astype(np.float64)).astype(np.int64)
+    gains = np.zeros(n_rows, dtype=np.int64)
+    for weight, plane_pos, plane_neg in zip(weights, pos, neg):
+        gains += weight * (popcount_rows(new & plane_pos) - popcount_rows(new & plane_neg))
     wsums = None
     if wsum_table is not None:
+        # Integer sums < 2**51 are exact in float64, so riding BLAS here is
+        # still bit-identical to the int64 accumulation of the C kernel.
+        bits = _row_bits(new).astype(np.float64)
         wsums = np.rint(bits @ wsum_table.astype(np.float64)).astype(np.int64)
     return wsums, gains, counts, joints
+
+
+def cooccur_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``(n_left, n_right)`` Boolean grid: do rows ``a`` and ``b`` intersect?
+
+    ``left`` and ``right`` are packed transaction sets over the same
+    transactions (e.g. the :class:`BitMatrix` words of the two views);
+    entry ``(a, b)`` is true iff some transaction holds both, i.e. the
+    exact packed form of ``(L.T @ R) > 0`` for the Boolean views ``L``
+    and ``R``.  The word-level AND is chunked over ``left`` rows so the
+    broadcast stays near ``_GRID_WORDS`` words.
+    """
+    left = np.ascontiguousarray(left, dtype=np.uint64)
+    right = np.ascontiguousarray(right, dtype=np.uint64)
+    if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
+        raise ValueError("left and right must be 2-D with equal word counts")
+    n_left, n_words = left.shape
+    n_right = right.shape[0]
+    out = np.zeros((n_left, n_right), dtype=bool)
+    if not (n_left and n_right and n_words):
+        return out
+    chunk = max(1, _GRID_WORDS // (n_right * n_words))
+    for start in range(0, n_left, chunk):
+        block = left[start : start + chunk, None, :] & right[None, :, :]
+        out[start : start + chunk] = block.any(axis=2)
+    return out
 
 
 def subset_match_rows(

@@ -32,6 +32,15 @@ The traversal runs on one of two interchangeable support kernels:
   remaining extension items at once, which replaces per-child numpy calls
   with per-node ones and shrinks the bitwise traffic 64-fold.
 
+The bitset kernel's batched metrics run on one of two backends: the
+numpy GEMM formulation (:class:`_BitsetChildSet`), or the native C
+kernel (:class:`_NativeChildSet`), which computes every metric of a frame
+— both sides' counts, joint counts, ``rub`` sums and directional gains,
+the frame's gain constants and its fresh net sums — in **one C call per
+frame** over arrays bound once per search.  There the gains are exact
+popcounts over packed net-sign planes rather than dot products with a
+per-frame gain vector.
+
 Both kernels return **bit-identical** rules, gains and
 :class:`SearchStats`.  This is guaranteed structurally, not by luck: all
 code lengths are quantized once per search to fixed-point integers
@@ -64,7 +73,7 @@ Parallel sharding (``n_jobs``)
 With ``n_jobs > 1`` the branch-and-bound is *sharded over root subtrees*:
 the universe's root positions are split into contiguous ranges, each
 worker of a :class:`repro.runtime.executor.ParallelExecutor` (thread
-backend — the batched child metrics run in GIL-releasing BLAS calls)
+backend — the batched child metrics run in GIL-releasing BLAS or C calls)
 traverses its ranges with the same seed incumbent, and the per-shard
 winners are merged in shard order under the serial path's
 strictly-greater replacement rule.  The returned **rule and gain are
@@ -95,8 +104,8 @@ from repro import obs as _obs
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.bitset import (
     BACKENDS,
-    WORD_BITS,
     BitMatrix,
+    cooccur_grid,
     fixed_weight_table,
     pack_mask,
     resolve_backend,
@@ -278,9 +287,7 @@ class SearchCache:
         # matrix products downstream run on the BLAS dot kernels.
         self.left_T = np.ascontiguousarray(dataset.left.T, dtype=np.float64)
         self.right_T = np.ascontiguousarray(dataset.right.T, dtype=np.float64)
-        self.cooccur = (
-            dataset.left.T.astype(np.int32) @ dataset.right.astype(np.int32)
-        ) > 0
+        self.cooccur = cooccur_grid(self.left_bits.words, self.right_bits.words)
         self.full_words = pack_mask(np.ones(dataset.n_transactions, dtype=bool))
 
 
@@ -469,6 +476,13 @@ class _BitsetContext:
     ``p``-th left-view entry of the universe (in universe order), so the
     batched products below never touch rows of the other side.
     ``side_position[u]`` maps a universe index to its side-local row.
+
+    On the native backend the dense matrices are not built at all: the
+    context instead binds, once, the arrays the per-frame C call reads —
+    the universe entries' packed columns, the packed net-sign planes of
+    every dataset column, the fixed-point code lengths and the ``rub``
+    tables.  Nothing here is written after construction, so the shards of
+    a parallel search share one context across threads.
     """
 
     __slots__ = (
@@ -478,25 +492,17 @@ class _BitsetContext:
         "side_position",
         "left_index",
         "right_index",
+        "left_list",
+        "right_list",
         "mask_left",
         "mask_right",
         "net_left",
         "net_right",
+        "netq_left_T",
+        "netq_right_T",
         "full_words",
         "kernel",
-        "padded_len",
-        "words_left",
-        "words_right",
-        "tub_table_left",
-        "tub_table_right",
-        "netq_left_i64",
-        "netq_right_i64",
-        "pos_left_words",
-        "neg_left_words",
-        "pos_right_words",
-        "neg_right_words",
-        "wq_left_univ",
-        "wq_right_univ",
+        "native",
     )
 
     def __init__(
@@ -531,51 +537,44 @@ class _BitsetContext:
                 self.words_all[index] = cache.right_bits.row(entry.column)
         self.left_index = np.asarray(left_index, dtype=np.int64)
         self.right_index = np.asarray(right_index, dtype=np.int64)
-        self.mask_left = cache.left_T[left_columns]
-        self.mask_right = cache.right_T[right_columns]
-        self.net_left = quantized.netq_left_T[left_columns]
-        self.net_right = quantized.netq_right_T[right_columns]
+        self.left_list = left_index
+        self.right_list = right_index
         self.full_words = cache.full_words
         self.kernel = None
-        if backend == "native":
-            from repro import native
+        self.native = None
+        if backend != "native":
+            self.mask_left = cache.left_T[left_columns]
+            self.mask_right = cache.right_T[right_columns]
+            self.net_left = quantized.netq_left_T[left_columns]
+            self.net_right = quantized.netq_right_T[right_columns]
+            self.netq_left_T = quantized.netq_left_T
+            self.netq_right_T = quantized.netq_right_T
+            return
+        from repro import native
 
-            self.kernel = native.load_kernel()
-            self.padded_len = n_words * WORD_BITS
-            # Universe-ordered compact word matrices, sliceable per frame
-            # without a gather (the native childset reads them directly).
-            self.words_left = np.ascontiguousarray(self.words_all[self.left_index])
-            self.words_right = np.ascontiguousarray(
-                self.words_all[self.right_index]
-            )
-            # Static fixed-point weight tables (rub bounds) and the padded
-            # int64 net-weight rows the drivers accumulate frame gains from.
-            self.tub_table_left = fixed_weight_table(quantized.tubq_left)
-            self.tub_table_right = fixed_weight_table(quantized.tubq_right)
-            self.netq_left_i64 = self._padded_i64(quantized.netq_left_T)
-            self.netq_right_i64 = self._padded_i64(quantized.netq_right_T)
-            # Packed positive/negative net-sign columns, universe-ordered:
-            # net sums become wq * (|pos & supp| - |neg & supp|).
-            self.pos_left_words = BitMatrix.from_bool_columns(
-                quantized.pos_left[:, left_columns]
-            ).words
-            self.neg_left_words = BitMatrix.from_bool_columns(
-                quantized.neg_left[:, left_columns]
-            ).words
-            self.pos_right_words = BitMatrix.from_bool_columns(
-                quantized.pos_right[:, right_columns]
-            ).words
-            self.neg_right_words = BitMatrix.from_bool_columns(
-                quantized.neg_right[:, right_columns]
-            ).words
-            self.wq_left_univ = quantized.wq_left[left_columns]
-            self.wq_right_univ = quantized.wq_right[right_columns]
-
-    def _padded_i64(self, netq: np.ndarray) -> np.ndarray:
-        """Exact int64 rows of a netq matrix, padded to the word grid."""
-        out = np.zeros((netq.shape[0], self.padded_len), dtype=np.int64)
-        out[:, : netq.shape[1]] = netq.astype(np.int64)
-        return out
+        self.kernel = native.load_kernel()
+        # Left candidates score their rub sums on the right view's tub
+        # mass and vice versa (the same pairing as _BitsetChildSet).
+        self.native = self.kernel.bind_search_context(
+            n_words,
+            items=(self.words_all[self.left_index], self.words_all[self.right_index]),
+            columns=(left_columns, right_columns),
+            universe=(self.left_index, self.right_index),
+            pos=(
+                BitMatrix.from_bool_columns(quantized.pos_left).words,
+                BitMatrix.from_bool_columns(quantized.pos_right).words,
+            ),
+            neg=(
+                BitMatrix.from_bool_columns(quantized.neg_left).words,
+                BitMatrix.from_bool_columns(quantized.neg_right).words,
+            ),
+            wq=(quantized.wq_left, quantized.wq_right),
+            tub=(
+                fixed_weight_table(quantized.tubq_right),
+                fixed_weight_table(quantized.tubq_left),
+            ),
+            full=self.full_words,
+        )
 
 
 class _BitsetChildSet:
@@ -733,20 +732,24 @@ class _BitsetChildSet:
 
 
 class _NativeChildSet:
-    """Per-child metrics of one frame via the fused C kernel.
+    """Per-child metrics of one frame from one call into the C kernel.
 
     Exposes exactly the attribute surface of :class:`_BitsetChildSet`,
-    so the bitset driver runs unchanged on either.  One
-    ``child_metrics`` call per side replaces the dense four-column GEMM
-    — each candidate's co-occurrence, new support count, ``rub``
-    weighted sum and directional gain come out of a single pass over its
-    packed words ANDed with the frame support — and the inherited
-    ``net @ support`` products become two fused AND+popcounts on the
-    packed positive/negative net-sign columns.  All quantities are the
-    same exact fixed-point integers the GEMM path computes (int64
-    accumulation vs float64-carried integers), so every exported list is
-    equal to the numpy backend's element for element, and the driver
-    makes the identical decision sequence.
+    so the bitset driver runs unchanged on either.  A single
+    ``child_metrics`` call per frame returns, for the candidates of both
+    sides, the joint-support counts (co-occurrence), new support counts,
+    ``rub`` weighted sums and directional gains, plus the frame's two gain
+    constants and the net sums it does not inherit from its parent.
+
+    The gains are popcounts.  A rule side's gain vector is
+    ``sum(netq[b] for b in side)`` with ``netq[b] = wq_b * (pos_b -
+    neg_b)``, so its sum over a support ``x`` is ``sum(wq_b * (|x & pos_b|
+    - |x & neg_b|))`` over the packed net-sign planes the context binds:
+    no frame carries a gain table.  All quantities are the same exact
+    fixed-point integers the GEMM path computes (int64 accumulation vs
+    float64-carried integers), so every exported list is equal to the
+    numpy backend's element for element, and the driver makes the
+    identical decision sequence.
     """
 
     __slots__ = (
@@ -777,76 +780,108 @@ class _NativeChildSet:
     ) -> None:
         self.context = context
         self.frame = frame
-        kernel = context.kernel
-        start_left = int(np.searchsorted(context.left_index, start))
-        start_right = int(np.searchsorted(context.right_index, start))
+        start_left = bisect.bisect_left(context.left_list, start)
+        start_right = bisect.bisect_left(context.right_list, start)
         self.start_left = start_left
         self.start_right = start_right
-        supp_left = frame.supp_left
-        supp_right = frame.supp_right
+        fresh_left = frame.net_left_vals is None
+        fresh_right = frame.net_right_vals is None
+        left, right, fwd_const, bwd_const, alive = context.kernel.child_metrics(
+            context.native,
+            frame.supp_left,
+            frame.supp_right,
+            start_left,
+            start_right,
+            frame.lhs,
+            frame.rhs,
+            need_rub,
+            fresh_left,
+            fresh_right,
+        )
+        counts, __, wsums, gains, nets = left
+        self.counts_left = counts.tolist()
+        self.wsums_left = wsums.tolist() if need_rub else None
+        self.fwd_left = gains.tolist()
+        # net_left sums only depend on the right support: inherited from
+        # the parent when this frame extended the left side.
+        if not fresh_left:
+            nets = frame.net_left_vals[start_left - frame.net_left_start :]
+        self.net_left_vals = nets
+        self.bwd_left = (nets + bwd_const).tolist()
 
-        wsums, gains, counts, joints_left = kernel.child_metrics(
-            context.words_left[start_left:],
-            supp_left,
-            supp_right,
-            frame.gain_right,
-            context.tub_table_right if need_rub else None,
-        )
-        self.wsums_left = (
-            wsums.astype(np.float64).tolist() if need_rub else None
-        )
-        self.fwd_left = gains.astype(np.float64).tolist()
-        self.counts_left = counts.astype(np.float64).tolist()
-        if frame.net_right_vals is not None:
-            net_right_sum = frame.net_right_vals[
-                start_right - frame.net_right_start :
-            ]
-        else:
-            pos = kernel.and_popcount(
-                context.pos_right_words[start_right:], supp_left
-            )
-            neg = kernel.and_popcount(
-                context.neg_right_words[start_right:], supp_left
-            )
-            net_right_sum = context.wq_right_univ[start_right:] * (
-                pos - neg
-            ).astype(np.float64)
-        self.net_right_vals = net_right_sum
-        fwd_const = float(kernel.weighted_popcount(supp_left, frame.gain_right))
-        self.fwd_right = (net_right_sum + fwd_const).tolist()
+        counts, __, wsums, gains, nets = right
+        self.counts_right = counts.tolist()
+        self.wsums_right = wsums.tolist() if need_rub else None
+        self.bwd_right = gains.tolist()
+        if not fresh_right:
+            nets = frame.net_right_vals[start_right - frame.net_right_start :]
+        self.net_right_vals = nets
+        self.fwd_right = (nets + fwd_const).tolist()
+        self.alive_list = alive.tolist()
 
-        wsums, gains, counts, joints_right = kernel.child_metrics(
-            context.words_right[start_right:],
-            supp_right,
-            supp_left,
-            frame.gain_left,
-            context.tub_table_left if need_rub else None,
-        )
-        self.wsums_right = (
-            wsums.astype(np.float64).tolist() if need_rub else None
-        )
-        self.bwd_right = gains.astype(np.float64).tolist()
-        self.counts_right = counts.astype(np.float64).tolist()
-        if frame.net_left_vals is not None:
-            net_left_sum = frame.net_left_vals[start_left - frame.net_left_start :]
-        else:
-            pos = kernel.and_popcount(
-                context.pos_left_words[start_left:], supp_right
-            )
-            neg = kernel.and_popcount(
-                context.neg_left_words[start_left:], supp_right
-            )
-            net_left_sum = context.wq_left_univ[start_left:] * (
-                pos - neg
-            ).astype(np.float64)
-        self.net_left_vals = net_left_sum
-        bwd_const = float(kernel.weighted_popcount(supp_right, frame.gain_left))
-        self.bwd_left = (net_left_sum + bwd_const).tolist()
 
-        alive = np.zeros(context.size - start, dtype=bool)
-        alive[context.left_index[start_left:] - start] = joints_left > 0
-        alive[context.right_index[start_right:] - start] = joints_right > 0
-        self.alive_list = (np.flatnonzero(alive) + start).tolist()
+def _child_frame(
+    context: _BitsetContext,
+    frame: _Frame,
+    childset,
+    index: int,
+    left_side: bool,
+    column: int,
+    lhs: tuple[int, ...],
+    rhs: tuple[int, ...],
+    len_lhs: float,
+    len_rhs: float,
+    wsum_new: float,
+    count_new: float,
+) -> _Frame:
+    """The bitset frame that extends ``frame`` by universe entry ``index``.
+
+    The side that is not extended keeps its support, bound mass and count,
+    and the net sums over that unchanged support carry over from the
+    parent's childset.  Only the numpy backend carries 0/1 support vectors
+    and gain vectors; native frames need neither.
+    """
+    child = _Frame()
+    child.position = index + 1
+    child.limit = context.size
+    child.lhs = lhs
+    child.rhs = rhs
+    child.len_lhs = len_lhs
+    child.len_rhs = len_rhs
+    numpy_path = context.kernel is None
+    if left_side:
+        child.supp_left = context.words_all[index] & frame.supp_left
+        child.supp_right = frame.supp_right
+        child.wsum_left = wsum_new
+        child.wsum_right = frame.wsum_right
+        child.count_left = count_new
+        child.count_right = frame.count_right
+        child.net_left_vals = childset.net_left_vals
+        child.net_left_start = childset.start_left
+        if numpy_path:
+            child.s_left = (
+                frame.s_left * context.mask_left[context.side_position[index]]
+            )
+            child.s_right = frame.s_right
+            child.gain_left = frame.gain_left + context.netq_left_T[column]
+            child.gain_right = frame.gain_right
+    else:
+        child.supp_left = frame.supp_left
+        child.supp_right = context.words_all[index] & frame.supp_right
+        child.wsum_left = frame.wsum_left
+        child.wsum_right = wsum_new
+        child.count_left = frame.count_left
+        child.count_right = count_new
+        child.net_right_vals = childset.net_right_vals
+        child.net_right_start = childset.start_right
+        if numpy_path:
+            child.s_left = frame.s_left
+            child.s_right = (
+                frame.s_right * context.mask_right[context.side_position[index]]
+            )
+            child.gain_left = frame.gain_left
+            child.gain_right = frame.gain_right + context.netq_right_T[column]
+    return child
 
 
 class ExactRuleSearch:
@@ -1090,14 +1125,12 @@ class ExactRuleSearch:
         root.wsum_right = float(quantized.tubq_left.sum())
         root.count_left = n
         root.count_right = n
-        if context is not None and context.kernel is not None:
-            # Native frames accumulate gains as padded int64 tables (the
-            # layout the fused weighted popcounts consume directly).
-            zero_gain = np.zeros(context.padded_len, dtype=np.int64)
-        else:
+        if context is None or context.kernel is None:
+            # Native frames carry no gain vectors: the kernel sums the
+            # rule's net-sign planes instead.
             zero_gain = np.zeros(n, dtype=np.float64)
-        root.gain_left = zero_gain
-        root.gain_right = zero_gain
+            root.gain_left = zero_gain
+            root.gain_right = zero_gain
         return root
 
     # ------------------------------------------------------------------
@@ -1235,22 +1268,13 @@ class ExactRuleSearch:
         childset is deliberately left unbuilt — the driver reconstructs
         it on the first iteration, just as the original run did.
         """
-        size = len(universe)
-        native = context.kernel is not None
-        childset_class = _NativeChildSet if native else _BitsetChildSet
+        childset_class = (
+            _BitsetChildSet if context.kernel is None else _NativeChildSet
+        )
         entry_is_left = [entry.side is Side.LEFT for entry in universe]
         entry_column = [entry.column for entry in universe]
         entry_length = [entry.length_q for entry in universe]
         side_position = context.side_position
-        words_all = context.words_all
-        mask_left_rows = context.mask_left
-        mask_right_rows = context.mask_right
-        if native:
-            netq_left_rows = context.netq_left_i64
-            netq_right_rows = context.netq_right_i64
-        else:
-            netq_left_rows = quantized.netq_left_T
-            netq_right_rows = quantized.netq_right_T
 
         stack = [
             self._make_root(
@@ -1262,7 +1286,7 @@ class ExactRuleSearch:
             childset = childset_class(
                 context, quantized, frame, frame.position, use_rub
             )
-            if frame.limit < size:
+            if frame.limit < context.size:
                 cut = bisect.bisect_left(childset.alive_list, frame.limit)
                 childset.alive_list = childset.alive_list[:cut]
             frame.childset = childset
@@ -1272,61 +1296,23 @@ class ExactRuleSearch:
                 childset.start_left if left_side else childset.start_right
             )
             if left_side:
+                wsums, counts = childset.wsums_left, childset.counts_left
+                new_lhs, new_rhs = frame.lhs + (column,), frame.rhs
                 new_len_lhs = frame.len_lhs + entry_length[index]
                 new_len_rhs = frame.len_rhs
             else:
+                wsums, counts = childset.wsums_right, childset.counts_right
+                new_lhs, new_rhs = frame.lhs, frame.rhs + (column,)
                 new_len_lhs = frame.len_lhs
                 new_len_rhs = frame.len_rhs + entry_length[index]
-            wsum_new = 0.0
-            if use_rub:
-                wsum_new = (
-                    childset.wsums_left[side_offset]
-                    if left_side
-                    else childset.wsums_right[side_offset]
+            stack.append(
+                _child_frame(
+                    context, frame, childset, index, left_side, column,
+                    new_lhs, new_rhs, new_len_lhs, new_len_rhs,
+                    wsums[side_offset] if use_rub else 0.0,
+                    counts[side_offset],
                 )
-            count_new = (
-                childset.counts_left[side_offset]
-                if left_side
-                else childset.counts_right[side_offset]
             )
-            child = _Frame()
-            child.position = index + 1
-            child.limit = size
-            child.len_lhs = new_len_lhs
-            child.len_rhs = new_len_rhs
-            if left_side:
-                child.lhs = frame.lhs + (column,)
-                child.rhs = frame.rhs
-                child.supp_left = words_all[index] & frame.supp_left
-                child.supp_right = frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left * mask_left_rows[side_position[index]]
-                    child.s_right = frame.s_right
-                child.wsum_left = wsum_new
-                child.wsum_right = frame.wsum_right
-                child.count_left = count_new
-                child.count_right = frame.count_right
-                child.gain_left = frame.gain_left + netq_left_rows[column]
-                child.gain_right = frame.gain_right
-                child.net_left_vals = childset.net_left_vals
-                child.net_left_start = childset.start_left
-            else:
-                child.lhs = frame.lhs
-                child.rhs = frame.rhs + (column,)
-                child.supp_left = frame.supp_left
-                child.supp_right = words_all[index] & frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left
-                    child.s_right = frame.s_right * mask_right_rows[side_position[index]]
-                child.wsum_left = frame.wsum_left
-                child.wsum_right = wsum_new
-                child.count_left = frame.count_left
-                child.count_right = count_new
-                child.gain_left = frame.gain_left
-                child.gain_right = frame.gain_right + netq_right_rows[column]
-                child.net_right_vals = childset.net_right_vals
-                child.net_right_start = childset.start_right
-            stack.append(child)
         for frame, cursor in zip(stack, checkpoint.cursors):
             frame.cursor = cursor
         return stack
@@ -1382,7 +1368,7 @@ class ExactRuleSearch:
         executor = self.executor
         if executor is None:
             # Threads: shards share the read-only context/quantized arrays
-            # and the batched child metrics run in GIL-releasing BLAS.
+            # and the batched child metrics run in GIL-releasing BLAS or C.
             executor = ParallelExecutor(
                 n_jobs=min(self.n_jobs, size), backend="thread", chunk_size=1
             )
@@ -1586,26 +1572,16 @@ class ExactRuleSearch:
         size = len(universe)
         use_rub, use_qub = self.use_rub, self.use_qub
         max_rule_size, max_nodes = self.max_rule_size, self.max_nodes
-        netq_left_T = quantized.netq_left_T
-        netq_right_T = quantized.netq_right_T
         entry_is_left = [entry.side is Side.LEFT for entry in universe]
         entry_column = [entry.column for entry in universe]
         entry_length = [entry.length_q for entry in universe]
 
         if context is None:
             context = _BitsetContext(universe, quantized, self.cache, self.backend)
-        native = context.kernel is not None
-        childset_class = _NativeChildSet if native else _BitsetChildSet
-        if native:
-            netq_left_rows = context.netq_left_i64
-            netq_right_rows = context.netq_right_i64
-        else:
-            netq_left_rows = netq_left_T
-            netq_right_rows = netq_right_T
+        childset_class = (
+            _BitsetChildSet if context.kernel is None else _NativeChildSet
+        )
         side_position = context.side_position
-        words_all = context.words_all
-        mask_left_rows = context.mask_left
-        mask_right_rows = context.mask_right
 
         nodes_visited = stats.nodes_visited
         if resume is not None:
@@ -1728,43 +1704,13 @@ class ExactRuleSearch:
                         best_rule = TranslationRule(new_lhs, new_rhs, "<->")
             if max_rule_size is not None and len(new_lhs) + len(new_rhs) >= max_rule_size:
                 continue
-            child = _Frame()
-            child.position = index + 1
-            child.limit = size
-            child.lhs = new_lhs
-            child.rhs = new_rhs
-            child.len_lhs = new_len_lhs
-            child.len_rhs = new_len_rhs
-            if left_side:
-                child.supp_left = words_all[index] & frame.supp_left
-                child.supp_right = frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left * mask_left_rows[side_position[index]]
-                    child.s_right = frame.s_right
-                child.wsum_left = wsum_new
-                child.wsum_right = frame.wsum_right
-                child.count_left = count_new
-                child.count_right = frame.count_right
-                child.gain_left = frame.gain_left + netq_left_rows[column]
-                child.gain_right = frame.gain_right
-                # s_right unchanged: the net_left @ s_right products carry over.
-                child.net_left_vals = childset.net_left_vals
-                child.net_left_start = childset.start_left
-            else:
-                child.supp_left = frame.supp_left
-                child.supp_right = words_all[index] & frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left
-                    child.s_right = frame.s_right * mask_right_rows[side_position[index]]
-                child.wsum_left = frame.wsum_left
-                child.wsum_right = wsum_new
-                child.count_left = frame.count_left
-                child.count_right = count_new
-                child.gain_left = frame.gain_left
-                child.gain_right = frame.gain_right + netq_right_rows[column]
-                child.net_right_vals = childset.net_right_vals
-                child.net_right_start = childset.start_right
-            stack.append(child)
+            stack.append(
+                _child_frame(
+                    context, frame, childset, index, left_side, column,
+                    new_lhs, new_rhs, new_len_lhs, new_len_rhs,
+                    wsum_new, count_new,
+                )
+            )
         stats.nodes_visited = nodes_visited
         return best_rule, best_q
 

@@ -10,6 +10,8 @@ small dependency-free C kernel (``kernel.c``) exposing
 * fused AND + popcount over row batches,
 * fixed-point (exact integer) weighted popcounts — the same quantized
   scoring the search already uses,
+* the exact search's per-frame child metrics, one call per frame over a
+  search context bound once,
 * a packed subset test and a weighted-OR/consequent-union primitive,
 * a fused AND-reduce + popcount for the streaming buffer's tracked
   supports.

@@ -4,7 +4,11 @@
 that :mod:`repro.native.build` compiles: every method validates dtypes
 and contiguity, allocates the output array, and hands raw pointers to
 the C functions (ctypes drops the GIL for the duration of each call, so
-the thread-sharded search parallelises through here).  All semantics —
+the thread-sharded search parallelises through here).  The exact
+search's per-frame call is the exception to per-call validation: its
+read-only arrays are validated and bound once per search
+(:meth:`NativeKernel.bind_search_context`), and each frame call checks
+only its two supports.  All semantics —
 word layout, weight-table layout, integer exactness — are documented on
 the C source and on the numpy reference implementations in
 :mod:`repro.core.bitset`, which these calls are bit-identical to.
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["NativeKernel"]
+__all__ = ["NativeKernel", "SearchContext"]
 
 _U64 = ctypes.POINTER(ctypes.c_uint64)
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -53,6 +57,65 @@ def _as_table(array: np.ndarray, n_words: int, name: str) -> np.ndarray:
     return out
 
 
+class _SearchContextStruct(ctypes.Structure):
+    """Mirror of ``repro_search_context`` in the C source."""
+
+    _fields_ = [
+        ("n_words", ctypes.c_int64),
+        ("n_items", ctypes.c_int64 * 2),
+        ("n_columns", ctypes.c_int64 * 2),
+        ("items", ctypes.c_void_p * 2),
+        ("columns", ctypes.c_void_p * 2),
+        ("universe", ctypes.c_void_p * 2),
+        ("pos", ctypes.c_void_p * 2),
+        ("neg", ctypes.c_void_p * 2),
+        ("wq", ctypes.c_void_p * 2),
+        ("tub", ctypes.c_void_p * 2),
+        ("full", ctypes.c_void_p),
+        ("full_wsums", ctypes.c_void_p * 2),
+    ]
+
+
+class SearchContext:
+    """One search's arrays, validated and bound once for the frame call.
+
+    Holds the arrays (so their memory outlives every call) and the C
+    struct of their addresses.  Nothing in it is written after
+    construction, so frames of one search may call
+    :meth:`NativeKernel.child_metrics` on it from several threads.
+    """
+
+    __slots__ = ("n_words", "n_items", "address", "_struct", "_arrays")
+
+    def __init__(
+        self, lib, n_words: int, sides: list[tuple[np.ndarray, ...]], full: np.ndarray
+    ) -> None:
+        struct = _SearchContextStruct()
+        struct.n_words = n_words
+        struct.full = full.ctypes.data
+        for side, (items, columns, universe, pos, neg, wq, tub) in enumerate(sides):
+            struct.n_items[side] = columns.size
+            struct.n_columns[side] = wq.size
+            struct.items[side] = items.ctypes.data
+            struct.columns[side] = columns.ctypes.data
+            struct.universe[side] = universe.ctypes.data
+            struct.pos[side] = pos.ctypes.data
+            struct.neg[side] = neg.ctypes.data
+            struct.wq[side] = wq.ctypes.data
+            struct.tub[side] = tub.ctypes.data
+        self.n_words = n_words
+        self.n_items = (int(sides[0][1].size), int(sides[1][1].size))
+        self.address = ctypes.addressof(struct)
+        full_wsums = []
+        for side in (0, 1):
+            wsums = np.empty(self.n_items[side], dtype=np.int64)
+            lib.repro_full_wsums(self.address, side, wsums.ctypes.data)
+            struct.full_wsums[side] = wsums.ctypes.data
+            full_wsums.append(wsums)
+        self._struct = struct
+        self._arrays = (sides, full, full_wsums)
+
+
 class NativeKernel:
     """Typed handle on one loaded build of the C kernel."""
 
@@ -67,10 +130,17 @@ class NativeKernel:
         ]
         lib.repro_weighted_popcount.restype = ctypes.c_int64
         lib.repro_weighted_popcount.argtypes = [_U64, ctypes.c_int64, _I64]
-        lib.repro_child_metrics.restype = None
+        lib.repro_child_metrics.restype = ctypes.c_int64
         lib.repro_child_metrics.argtypes = [
-            _U64, ctypes.c_int64, ctypes.c_int64,
-            _U64, _U64, _I64, _I64, _I64, _I64, _I64, _I64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_int64,
+            _I64, ctypes.c_int64, _I64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p,
+        ]
+        lib.repro_full_wsums.restype = None
+        lib.repro_full_wsums.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
         ]
         lib.repro_subset_match.restype = None
         lib.repro_subset_match.argtypes = [
@@ -128,45 +198,139 @@ class NativeKernel:
             self._lib.repro_weighted_popcount(_u64(words), n_words, _i64(table))
         )
 
+    def bind_search_context(
+        self,
+        n_words: int,
+        items: tuple[np.ndarray, np.ndarray],
+        columns: tuple[np.ndarray, np.ndarray],
+        universe: tuple[np.ndarray, np.ndarray],
+        pos: tuple[np.ndarray, np.ndarray],
+        neg: tuple[np.ndarray, np.ndarray],
+        wq: tuple[np.ndarray, np.ndarray],
+        tub: tuple[np.ndarray, np.ndarray],
+        full: np.ndarray,
+    ) -> "SearchContext":
+        """Validate one search's arrays once and bind them for :meth:`child_metrics`.
+
+        ``n_words`` is the packed word count of every transaction set.
+        Every other argument is a ``(left, right)`` pair: ``items`` the packed
+        transaction sets of the universe entries of that side, in
+        universe order; ``columns`` their dataset columns and
+        ``universe`` their (ascending) universe indices; ``pos``/``neg``
+        the packed positive/negative net-sign planes of every dataset
+        column; ``wq`` the fixed-point code length of every column; and
+        ``tub`` the padded ``rub`` table the side's candidates are scored
+        with.  ``full`` is the all-transactions mask: a frame call whose
+        support *is* this array (the same object) reads each candidate's
+        ``rub`` sum from a table computed here once.  See
+        ``repro_search_context`` in the C source.
+        """
+        bound = []
+        for side in (0, 1):
+            side_columns = np.ascontiguousarray(columns[side], dtype=np.int64)
+            side_items = _as_words(items[side], "items")
+            if side_items.shape != (side_columns.size, n_words):
+                raise ValueError(
+                    f"items must be (n_entries, n_words) = "
+                    f"{(side_columns.size, n_words)}, got {side_items.shape}"
+                )
+            side_pos = _as_words(pos[side], "pos")
+            side_neg = _as_words(neg[side], "neg")
+            side_wq = np.ascontiguousarray(wq[side], dtype=np.int64)
+            n_columns = side_wq.size
+            for name, plane in (("pos", side_pos), ("neg", side_neg)):
+                if plane.shape != (n_columns, n_words):
+                    raise ValueError(
+                        f"{name} planes must be (n_columns, n_words) = "
+                        f"{(n_columns, n_words)}, got {plane.shape}"
+                    )
+            if side_columns.size and not (
+                0 <= side_columns.min() and side_columns.max() < n_columns
+            ):
+                raise ValueError("universe columns out of range")
+            side_universe = np.ascontiguousarray(universe[side], dtype=np.int64)
+            if side_universe.shape != side_columns.shape or (
+                np.diff(side_universe) <= 0
+            ).any():
+                raise ValueError("universe indices must ascend, one per entry")
+            side_tub = _as_table(tub[side], n_words, "tub")
+            bound.append(
+                (
+                    side_items, side_columns, side_universe,
+                    side_pos, side_neg, side_wq, side_tub,
+                )
+            )
+        full = _as_words(full, "full")
+        if full.shape != (n_words,):
+            raise ValueError(f"full must hold {n_words} words, got {full.shape}")
+        return SearchContext(self._lib, n_words, bound, full)
+
     def child_metrics(
         self,
-        rows: np.ndarray,
-        supp: np.ndarray,
-        supp_other: np.ndarray,
-        gain_table: np.ndarray,
-        wsum_table: np.ndarray | None = None,
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused per-child search metrics; see ``repro_child_metrics``.
+        context: "SearchContext",
+        supp_left: np.ndarray,
+        supp_right: np.ndarray,
+        start_left: int,
+        start_right: int,
+        lhs: tuple[int, ...],
+        rhs: tuple[int, ...],
+        need_rub: bool,
+        fresh_net_left: bool,
+        fresh_net_right: bool,
+    ) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
+        """Every per-child metric of one search frame in one call.
 
-        Returns ``(wsums, gains, counts, joints)`` as int64 arrays
-        (``wsums`` is ``None`` when ``wsum_table`` is).
+        Returns ``(left, right, fwd_const, bwd_const, alive)``.  ``left``
+        and ``right`` are ``(5, m)`` float64 arrays over the side's
+        candidates from ``start_left``/``start_right`` on, with rows
+        ``counts``, ``joints``, ``wsums`` (zero unless ``need_rub``),
+        ``gains`` and ``nets`` (zero unless ``fresh_net_*``); the
+        constants are the frame's own forward and backward gains; ``alive``
+        holds the ascending universe indices of the candidates with a
+        non-empty joint support.  All values are exact integers; see
+        ``repro_child_metrics``.
         """
-        rows = _as_words(rows, "rows")
-        n_rows, n_words = rows.shape
-        supp = _as_words(supp, "supp")
-        supp_other = _as_words(supp_other, "supp_other")
-        if supp.size != n_words or supp_other.size != n_words:
-            raise ValueError("support masks and rows disagree on word count")
-        gain_table = _as_table(gain_table, n_words, "gain_table")
-        gains = np.empty(n_rows, dtype=np.int64)
-        counts = np.empty(n_rows, dtype=np.int64)
-        joints = np.empty(n_rows, dtype=np.int64)
-        wsums: np.ndarray | None = None
-        wsum_ptr = None
-        wsum_out = None
-        if wsum_table is not None:
-            wsum_table = _as_table(wsum_table, n_words, "wsum_table")
-            wsums = np.empty(n_rows, dtype=np.int64)
-            wsum_ptr = _i64(wsum_table)
-            wsum_out = _i64(wsums)
-        if n_rows:
-            self._lib.repro_child_metrics(
-                _u64(rows), n_rows, n_words,
-                _u64(supp), _u64(supp_other),
-                wsum_ptr, _i64(gain_table),
-                wsum_out, _i64(gains), _i64(counts), _i64(joints),
-            )
-        return wsums, gains, counts, joints
+        n_words = context.n_words
+        for supp in (supp_left, supp_right):
+            if (
+                supp.dtype != np.uint64
+                or supp.size != n_words
+                or not supp.flags.c_contiguous
+            ):
+                raise ValueError("supports must be contiguous uint64 words")
+        m_left = context.n_items[0] - start_left
+        m_right = context.n_items[1] - start_right
+        # The C call rejects out-of-range starts before writing anything.
+        n_candidates = max(m_left, 0) + max(m_right, 0)
+        out = np.empty(5 * n_candidates + 2, dtype=np.float64)
+        alive = np.empty(n_candidates, dtype=np.int64)
+        n_lhs, n_rhs = len(lhs), len(rhs)
+        n_alive = self._lib.repro_child_metrics(
+            context.address,
+            supp_left.ctypes.data,
+            supp_right.ctypes.data,
+            start_left,
+            start_right,
+            (ctypes.c_int64 * n_lhs)(*lhs),
+            n_lhs,
+            (ctypes.c_int64 * n_rhs)(*rhs),
+            n_rhs,
+            need_rub,
+            fresh_net_left,
+            fresh_net_right,
+            out.ctypes.data,
+            alive.ctypes.data,
+        )
+        if n_alive < 0:
+            raise ValueError("frame start or rule column out of range")
+        split = 5 * m_left
+        return (
+            out[:split].reshape(5, m_left),
+            out[split:-2].reshape(5, m_right),
+            float(out[-2]),
+            float(out[-1]),
+            alive[:n_alive],
+        )
 
     def subset_match(self, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """Boolean ``(n_rows, n_sets)`` packed subset test."""

@@ -17,6 +17,7 @@
  * No external dependencies, C99, single translation unit.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -42,7 +43,7 @@ static int64_t repro_ctz_fallback(uint64_t x) {
 
 /* Bumped whenever an exported signature changes; repro.native.build folds
  * it into the cache key so a stale shared object is never reused. */
-REPRO_EXPORT int64_t repro_abi_version(void) { return 1; }
+REPRO_EXPORT int64_t repro_abi_version(void) { return 2; }
 
 /* Per-row popcount of rows[i] & mask (mask == NULL: plain popcount). */
 REPRO_EXPORT void repro_and_popcount(
@@ -81,59 +82,194 @@ REPRO_EXPORT int64_t repro_weighted_popcount(
     return total;
 }
 
-/* Batched per-child metrics of one search frame: for every candidate row
- * (a packed item transaction set) compute, over new = row & supp,
- *
- *   out_count[i] = |new|
- *   out_joint[i] = |new & supp_other|
- *   out_gain[i]  = sum of gain_table over the set bits of new
- *   out_wsum[i]  = sum of wsum_table over the set bits of new
- *                  (skipped when wsum_table == NULL)
- *
- * in a single pass over the packed words — the fused replacement for the
- * bitset search kernel's dense 4-column GEMM per node. */
-REPRO_EXPORT void repro_child_metrics(
-    const uint64_t *rows, int64_t n_rows, int64_t n_words,
-    const uint64_t *supp, const uint64_t *supp_other,
-    const int64_t *wsum_table, const int64_t *gain_table,
-    int64_t *out_wsum, int64_t *out_gain,
-    int64_t *out_count, int64_t *out_joint)
+/* Read-only context of one exact search (repro.core.search._BitsetContext),
+ * bound once per search and shared by every frame call, including frames
+ * running concurrently on several threads.  Index 0 is the left view, 1
+ * the right view.  A frame's candidate extensions on side s are the
+ * universe entries items[s][start_s ..], in universe order. */
+typedef struct {
+    int64_t n_words;
+    int64_t n_items[2];        /* universe entries of each side */
+    int64_t n_columns[2];      /* dataset columns of each view */
+    const uint64_t *items[2];  /* packed transaction set per universe entry */
+    const int64_t *columns[2]; /* dataset column of each universe entry */
+    const int64_t *universe[2]; /* universe index of each entry (ascending) */
+    const uint64_t *pos[2];    /* packed positive net-sign plane per column */
+    const uint64_t *neg[2];    /* packed negative net-sign plane per column */
+    const int64_t *wq[2];      /* fixed-point code length per column */
+    const int64_t *tub[2];     /* padded rub table scored by side-s candidates */
+    const uint64_t *full;      /* the all-transactions mask */
+    const int64_t *full_wsums[2]; /* tub[s] sum of each entry's whole column */
+} repro_search_context;
+
+/* Fill ctx->full_wsums[side] (passed as out, since the context is
+ * read-only to the frame calls): the rub sum of every side-s universe
+ * entry over its whole column.  A frame whose side-s support is the full
+ * set (pointer-equal to ctx->full) reads these instead of summing the
+ * table over thousands of set bits per candidate. */
+REPRO_EXPORT void repro_full_wsums(
+    const repro_search_context *ctx, int64_t side, int64_t *out)
 {
-    int64_t i, w;
-    for (i = 0; i < n_rows; ++i) {
-        const uint64_t *row = rows + i * n_words;
-        int64_t count = 0, joint = 0, gain = 0, wsum = 0;
+    int64_t i, n_words = ctx->n_words;
+    for (i = 0; i < ctx->n_items[side]; ++i)
+        out[i] = repro_weighted_popcount(
+            ctx->items[side] + i * n_words, n_words, ctx->tub[side]);
+}
+
+/* Exact net sum of the given columns of one view over the transactions
+ * x & mask:  sum_c wq[c] * (|x & mask & pos_c| - |x & mask & neg_c|).
+ * A rule side's gain vector is sum_c netq_c with netq_c = wq_c * (pos_c -
+ * neg_c), so this is that gain vector summed over x & mask — without
+ * ever materialising it.  mask == NULL means no mask. */
+static int64_t repro_plane_sum(
+    const repro_search_context *ctx, int side,
+    const int64_t *cols, int64_t n_cols,
+    const uint64_t *x, const uint64_t *mask)
+{
+    int64_t k, w, total = 0, n_words = ctx->n_words;
+    for (k = 0; k < n_cols; ++k) {
+        const uint64_t *pos = ctx->pos[side] + cols[k] * n_words;
+        const uint64_t *neg = ctx->neg[side] + cols[k] * n_words;
+        int64_t diff = 0;
+        if (mask) {
+            for (w = 0; w < n_words; ++w) {
+                uint64_t word = x[w] & mask[w];
+                diff += REPRO_POPCOUNT(word & pos[w]);
+                diff -= REPRO_POPCOUNT(word & neg[w]);
+            }
+        } else {
+            for (w = 0; w < n_words; ++w) {
+                diff += REPRO_POPCOUNT(x[w] & pos[w]);
+                diff -= REPRO_POPCOUNT(x[w] & neg[w]);
+            }
+        }
+        total += ctx->wq[side][cols[k]] * diff;
+    }
+    return total;
+}
+
+/* Metrics of the side-s candidates of one frame, over new = item & supp:
+ * out holds five rows of m = n_items[s] - start doubles,
+ *
+ *   counts[i] = |new|
+ *   joints[i] = |new & supp_other|
+ *   wsums[i]  = sum of tub[s] over the set bits of new   (0 unless need_rub)
+ *   gains[i]  = plane sum of the other view's rule columns over new
+ *   nets[i]   = wq_c * (|pos_c & supp_other| - |neg_c & supp_other|) for the
+ *               candidate's own column c                 (0 unless fresh_net)
+ */
+static void repro_side_metrics(
+    const repro_search_context *ctx, int side, int64_t start,
+    const uint64_t *supp, const uint64_t *supp_other,
+    const int64_t *rule_cols, int64_t n_rule_cols,
+    int64_t need_rub, int64_t fresh_net, double *out)
+{
+    int64_t i, w, n_words = ctx->n_words, m = ctx->n_items[side] - start;
+    const int64_t *tub = ctx->tub[side];
+    const int64_t *full_wsums = supp == ctx->full ? ctx->full_wsums[side] : NULL;
+    double *counts = out, *joints = out + m, *wsums = out + 2 * m;
+    double *gains = out + 3 * m, *nets = out + 4 * m;
+    for (i = 0; i < m; ++i) {
+        const uint64_t *row = ctx->items[side] + (start + i) * n_words;
+        int64_t count = 0, joint = 0, wsum = 0, gain = 0, net = 0;
+        /* Branch-free, so the compiler can vectorise the popcounts. */
         for (w = 0; w < n_words; ++w) {
             uint64_t word = row[w] & supp[w];
-            if (!word)
-                continue;
             count += REPRO_POPCOUNT(word);
             joint += REPRO_POPCOUNT(word & supp_other[w]);
-            {
-                const int64_t *gain_row = gain_table + w * 64;
-                uint64_t bits = word;
-                if (wsum_table) {
-                    const int64_t *wsum_row = wsum_table + w * 64;
-                    while (bits) {
-                        int64_t b = REPRO_CTZ(bits);
-                        gain += gain_row[b];
-                        wsum += wsum_row[b];
-                        bits &= bits - 1;
-                    }
-                } else {
-                    while (bits) {
-                        gain += gain_row[REPRO_CTZ(bits)];
-                        bits &= bits - 1;
-                    }
+        }
+        if (need_rub && full_wsums) {
+            wsum = full_wsums[start + i];
+        } else if (need_rub && count) {
+            for (w = 0; w < n_words; ++w) {
+                uint64_t word = row[w] & supp[w];
+                const int64_t *tub_row = tub + w * 64;
+                while (word) {
+                    wsum += tub_row[REPRO_CTZ(word)];
+                    word &= word - 1;
                 }
             }
         }
-        if (out_wsum)
-            out_wsum[i] = wsum;
-        out_gain[i] = gain;
-        out_count[i] = count;
-        out_joint[i] = joint;
+        if (count)
+            gain = repro_plane_sum(
+                ctx, 1 - side, rule_cols, n_rule_cols, row, supp);
+        if (fresh_net)
+            net = repro_plane_sum(
+                ctx, side, ctx->columns[side] + start + i, 1, supp_other, NULL);
+        counts[i] = (double)count;
+        joints[i] = (double)joint;
+        wsums[i] = (double)wsum;
+        gains[i] = (double)gain;
+        nets[i] = (double)net;
     }
+}
+
+/* All per-child metrics of one search frame in one call.
+ *
+ * The frame's rule is lhs => rhs (dataset columns of the left and right
+ * view) with packed supports supp_left / supp_right.  out receives
+ *
+ *   5 * (n_items[0] - start_left) doubles: the left candidates' rows as in
+ *       repro_side_metrics, gains = forward gains against the rhs columns;
+ *   5 * (n_items[1] - start_right) doubles: the right candidates' rows,
+ *       gains = backward gains against the lhs columns;
+ *   2 doubles: the frame constants, the rhs plane sum over supp_left and
+ *       the lhs plane sum over supp_right.
+ *
+ * and alive receives, in ascending order, the universe indices of the
+ * candidates of both sides whose joint support is not empty (Section 5.2:
+ * only co-occurring children are ever visited).  Every value is an exact
+ * int64 sum below 2**51 (the callers' fixed-point bound), so the doubles
+ * carry it exactly.  Returns the number of alive candidates, or -1 when a
+ * start or a column is out of range (nothing is read out of bounds then). */
+REPRO_EXPORT int64_t repro_child_metrics(
+    const repro_search_context *ctx,
+    const uint64_t *supp_left, const uint64_t *supp_right,
+    int64_t start_left, int64_t start_right,
+    const int64_t *lhs, int64_t n_lhs, const int64_t *rhs, int64_t n_rhs,
+    int64_t need_rub, int64_t fresh_net_left, int64_t fresh_net_right,
+    double *out, int64_t *alive)
+{
+    int64_t k, i = 0, j = 0, n_alive = 0;
+    int64_t m_left = ctx->n_items[0] - start_left;
+    int64_t m_right = ctx->n_items[1] - start_right;
+    const double *joints_left = out + m_left, *joints_right;
+    const int64_t *u_left, *u_right;
+    double *out_right;
+    if (start_left < 0 || m_left < 0 || start_right < 0 || m_right < 0
+            || n_lhs < 0 || n_rhs < 0)
+        return -1;
+    for (k = 0; k < n_lhs; ++k)
+        if (lhs[k] < 0 || lhs[k] >= ctx->n_columns[0])
+            return -1;
+    for (k = 0; k < n_rhs; ++k)
+        if (rhs[k] < 0 || rhs[k] >= ctx->n_columns[1])
+            return -1;
+    out_right = out + 5 * m_left;
+    joints_right = out_right + m_right;
+    repro_side_metrics(ctx, 0, start_left, supp_left, supp_right,
+                       rhs, n_rhs, need_rub, fresh_net_left, out);
+    repro_side_metrics(ctx, 1, start_right, supp_right, supp_left,
+                       lhs, n_lhs, need_rub, fresh_net_right, out_right);
+    out_right[5 * m_right] =
+        (double)repro_plane_sum(ctx, 1, rhs, n_rhs, supp_left, NULL);
+    out_right[5 * m_right + 1] =
+        (double)repro_plane_sum(ctx, 0, lhs, n_lhs, supp_right, NULL);
+    /* Merge the two sides' ascending universe indices. */
+    u_left = ctx->universe[0] + start_left;
+    u_right = ctx->universe[1] + start_right;
+    while (i < m_left || j < m_right) {
+        if (j >= m_right || (i < m_left && u_left[i] < u_right[j])) {
+            if (joints_left[i] > 0.0)
+                alive[n_alive++] = u_left[i];
+            ++i;
+        } else {
+            if (joints_right[j] > 0.0)
+                alive[n_alive++] = u_right[j];
+            ++j;
+        }
+    }
+    return n_alive;
 }
 
 /* Packed subset test: out[i * n_sets + r] = 1 iff sets[r] is a subset of

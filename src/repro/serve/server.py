@@ -1092,6 +1092,7 @@ _REASONS = {
     404: "Not Found",
     408: "Request Timeout",
     413: "Payload Too Large",
+    501: "Not Implemented",
     502: "Bad Gateway",
     503: "Service Unavailable",
 }
@@ -1399,6 +1400,12 @@ async def read_http_request(
     (:mod:`repro.serve.router`) so both fronts reject malformed input
     identically.  Raises :class:`_RequestError` carrying the HTTP
     response for protocol violations; the caller bounds the read time.
+
+    Body framing follows RFC 9112 section 6.3: a ``Content-Length`` that
+    is not a run of ASCII digits, or that disagrees with another one, is
+    a 400 (repeated identical values count as one); any
+    ``Transfer-Encoding`` is a 501, since only length-delimited bodies
+    are implemented.
     """
     request_line = (await reader.readline()).decode("ascii", "replace").strip()
     parts = request_line.split()
@@ -1407,7 +1414,7 @@ async def read_http_request(
             400, {"error": f"malformed request line {request_line!r}"}
         )
     method, path = parts[0].upper(), parts[1]
-    content_length = 0
+    lengths: set[str] = set()
     headers: dict[str, str] = {}
     while True:
         line = (await reader.readline()).decode("ascii", "replace")
@@ -1417,10 +1424,19 @@ async def read_http_request(
         header = header.strip().lower()
         headers[header] = value.strip()
         if header == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise _RequestError(400, {"error": "invalid Content-Length"})
+            lengths.update(part.strip() for part in value.split(","))
+        elif header == "transfer-encoding":
+            raise _RequestError(
+                501, {"error": "Transfer-Encoding is not supported"}
+            )
+    if len(lengths) > 1:
+        raise _RequestError(400, {"error": "conflicting Content-Length values"})
+    content_length = 0
+    if lengths:
+        (length,) = lengths
+        if not (length.isascii() and length.isdigit()):
+            raise _RequestError(400, {"error": "invalid Content-Length"})
+        content_length = int(length)
     if content_length > max_body_bytes:
         raise _RequestError(
             413,

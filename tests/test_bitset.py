@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.bitset import (
     WORD_BITS,
     BitMatrix,
+    cooccur_grid,
     n_words_for,
     pack_mask,
     popcount,
@@ -167,3 +168,50 @@ class TestBitMatrix:
         support = bits.support([0])
         support[:] = 0
         assert popcount(bits.row(0)) == 10
+
+
+class TestCooccurGrid:
+    """``cooccur_grid`` is the exact packed form of ``(L.T @ R) > 0``."""
+
+    @pytest.mark.parametrize("n_bits", EDGE_SIZES)
+    def test_matches_brute_force(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        left = rng.random((n_bits, 7)) < 0.1
+        right = rng.random((n_bits, 5)) < 0.1
+        left[:, 2] = False  # empty columns on both sides
+        right[:, 4] = False
+        grid = cooccur_grid(
+            BitMatrix.from_bool_columns(left).words,
+            BitMatrix.from_bool_columns(right).words,
+        )
+        brute = (left.T.astype(np.int64) @ right.astype(np.int64)) > 0
+        assert grid.dtype == bool
+        assert np.array_equal(grid, brute)
+        assert not grid[2].any() and not grid[:, 4].any()
+
+    def test_chunked_broadcast_matches(self, monkeypatch):
+        import repro.core.bitset as bitset_module
+
+        rng = np.random.default_rng(7)
+        left = rng.random((300, 11)) < 0.05
+        right = rng.random((300, 9)) < 0.05
+        expected = (left.T.astype(np.int64) @ right.astype(np.int64)) > 0
+        # A tiny chunk budget forces one left row per broadcast.
+        monkeypatch.setattr(bitset_module, "_GRID_WORDS", 1)
+        grid = cooccur_grid(
+            BitMatrix.from_bool_columns(left).words,
+            BitMatrix.from_bool_columns(right).words,
+        )
+        assert np.array_equal(grid, expected)
+
+    def test_empty_shapes_and_mismatch(self):
+        assert cooccur_grid(
+            np.zeros((0, 3), dtype=np.uint64), np.zeros((4, 3), dtype=np.uint64)
+        ).shape == (0, 4)
+        assert not cooccur_grid(
+            np.zeros((2, 0), dtype=np.uint64), np.zeros((3, 0), dtype=np.uint64)
+        ).any()
+        with pytest.raises(ValueError):
+            cooccur_grid(
+                np.zeros((2, 1), dtype=np.uint64), np.zeros((2, 2), dtype=np.uint64)
+            )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +174,23 @@ class TestPrimitives:
         other = pack_mask(other_bool)
         weights = rng.integers(-(2**20), 2**20, n_bits)
         gain_tab = fixed_weight_table(weights)
-        wsum_tab = fixed_weight_table(rng.integers(0, 2**20, n_bits))
+        wsum_weights = rng.integers(0, 2**20, n_bits)
+        wsum_tab = fixed_weight_table(wsum_weights)
+        # A rule side's gain vector: sum_k w_k * (pos_k - neg_k) over its
+        # disjoint positive/negative net-sign planes.
+        n_planes = int(rng.integers(0, 4))
+        pos_bool = rng.random((n_planes, n_bits)) < 0.3
+        neg_bool = (rng.random((n_planes, n_bits)) < 0.3) & ~pos_bool
+        plane_weights = rng.integers(0, 2**20, n_planes)
+        pos = BitMatrix.from_bool_rows(pos_bool).words
+        neg = BitMatrix.from_bool_rows(neg_bool).words
+        net = plane_weights @ (pos_bool.astype(np.int64) - neg_bool.astype(np.int64))
+        net_tab = fixed_weight_table(np.asarray(net, dtype=np.int64).reshape(n_bits))
 
         brute_counts = (bools & mask_bool).sum(axis=1)
         brute_weighted = int(weights[mask_bool].sum())
+        new = bools & mask_bool
+        brute_gains = new.astype(np.int64) @ np.asarray(net, dtype=np.int64).reshape(n_bits)
         for backend in BACKENDS:
             counts = and_popcount_rows(rows, mask, backend=backend)
             assert np.array_equal(counts, brute_counts)
@@ -185,15 +199,20 @@ class TestPrimitives:
                 == brute_weighted
             )
             wsums, gains, cm_counts, joints = child_metrics_rows(
-                rows, mask, other, gain_tab, wsum_tab, backend=backend
+                rows, mask, other, pos, neg, plane_weights, wsum_tab,
+                backend=backend,
             )
-            new = bools & mask_bool
             assert np.array_equal(cm_counts, new.sum(axis=1))
             assert np.array_equal(joints, (new & other_bool).sum(axis=1))
-            assert np.array_equal(gains, new.astype(np.int64) @ weights)
+            assert np.array_equal(gains, brute_gains)
             assert wsums is not None
+            assert np.array_equal(wsums, new.astype(np.int64) @ wsum_weights)
+            # The popcount gains equal the weighted popcount of each new
+            # support under the rule's gain table (the old formulation).
+            for row, gain in zip(rows & mask, gains):
+                assert fixed_weighted_popcount(row, net_tab, backend=backend) == gain
             no_wsum = child_metrics_rows(
-                rows, mask, other, gain_tab, backend=backend
+                rows, mask, other, pos, neg, plane_weights, backend=backend
             )
             assert no_wsum[0] is None
             assert np.array_equal(no_wsum[1], gains)
@@ -354,6 +373,250 @@ class TestSearchBackends:
             assert self._fingerprint(fits["numpy"]) == self._fingerprint(
                 fits["native"]
             )
+
+
+# ----------------------------------------------------------------------
+# Consumer 1b: the per-frame call against the numpy childset
+# ----------------------------------------------------------------------
+_CHILDSET_LISTS = (
+    "start_left",
+    "start_right",
+    "alive_list",
+    "counts_left",
+    "counts_right",
+    "wsums_left",
+    "wsums_right",
+    "fwd_left",
+    "fwd_right",
+    "bwd_left",
+    "bwd_right",
+)
+
+
+def _childset_lists(childset) -> dict:
+    lists = {name: getattr(childset, name) for name in _CHILDSET_LISTS}
+    lists["net_left_vals"] = childset.net_left_vals.tolist()
+    lists["net_right_vals"] = childset.net_right_vals.tolist()
+    return lists
+
+
+def _fresh_copy(frame):
+    """The same frame with no inherited net sums (forces fresh ones)."""
+    from repro.core.search import _Frame
+
+    copy = _Frame()
+    for slot in _Frame.__slots__:
+        if hasattr(frame, slot):
+            setattr(copy, slot, getattr(frame, slot))
+    copy.childset = None
+    copy.net_left_vals = None
+    copy.net_right_vals = None
+    return copy
+
+
+class TestFrameCall:
+    """One native call per frame equals the numpy GEMM childset exactly."""
+
+    def _setup(self, seed):
+        from repro.core.rules import TranslationRule
+        from repro.core.search import (
+            ExactRuleSearch,
+            _BitsetContext,
+            _Quantized,
+        )
+        from repro.core.state import CoverState
+        from tests.conftest import random_two_view
+
+        rng = np.random.default_rng(seed)
+        # Transaction counts that are not multiples of 64 leave padding
+        # bits in the last word of every packed set.
+        n = int(rng.choice([64, 71, 130, 200]))
+        dataset = random_two_view(
+            rng, n=n, n_left=int(rng.integers(4, 9)),
+            n_right=int(rng.integers(4, 9)), density=0.3,
+        )
+        state = CoverState(dataset)
+        # A rule or two makes the positive/negative net-sign planes differ
+        # from the raw data.
+        for __ in range(int(rng.integers(0, 3))):
+            lhs = (int(rng.integers(dataset.n_left)),)
+            rhs = (int(rng.integers(dataset.n_right)),)
+            rule = TranslationRule(lhs, rhs, str(rng.choice(["->", "<-", "<->"])))
+            if rule not in state.table:
+                state.add_rule(rule)
+        search = ExactRuleSearch(state, backend="numpy")
+        quantized = _Quantized(state, keep_sign_masks=True)
+        universe = search._build_universe(quantized)
+        contexts = {
+            backend: _BitsetContext(universe, quantized, search.cache, backend)
+            for backend in ("numpy", "native")
+        }
+        return rng, search, quantized, universe, contexts
+
+    @needs_native
+    @pytest.mark.parametrize("need_rub", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_frames_match_numpy_childset(self, seed, need_rub):
+        from repro.core.search import (
+            _BitsetChildSet,
+            _NativeChildSet,
+            _child_frame,
+        )
+
+        rng, search, quantized, universe, contexts = self._setup(seed)
+        classes = {"numpy": _BitsetChildSet, "native": _NativeChildSet}
+        frames_checked = 0
+        for __ in range(6):
+            # A random root-to-leaf walk: the root (empty lhs and rhs),
+            # one-sided frames, then frames that inherit one side's net
+            # sums from their parent.
+            frames = {
+                backend: search._make_root(quantized, context)
+                for backend, context in contexts.items()
+            }
+            for __depth in range(5):
+                childsets = {
+                    backend: classes[backend](
+                        contexts[backend], quantized, frames[backend],
+                        frames[backend].position, need_rub,
+                    )
+                    for backend in frames
+                }
+                expected = _childset_lists(childsets["numpy"])
+                assert _childset_lists(childsets["native"]) == expected
+                fresh = _NativeChildSet(
+                    contexts["native"], quantized,
+                    _fresh_copy(frames["native"]),
+                    frames["native"].position, need_rub,
+                )
+                assert _childset_lists(fresh) == expected
+                frames_checked += 1
+                alive = expected["alive_list"]
+                if not alive:
+                    break
+                index = alive[int(rng.integers(len(alive)))]
+                entry = universe[index]
+                left_side = entry.side is Side.LEFT
+                for backend, frame in frames.items():
+                    childset = childsets[backend]
+                    offset = contexts[backend].side_position[index] - (
+                        childset.start_left if left_side else childset.start_right
+                    )
+                    if left_side:
+                        lhs, rhs = frame.lhs + (entry.column,), frame.rhs
+                        len_lhs, len_rhs = frame.len_lhs + entry.length_q, frame.len_rhs
+                        wsums, counts = childset.wsums_left, childset.counts_left
+                    else:
+                        lhs, rhs = frame.lhs, frame.rhs + (entry.column,)
+                        len_lhs, len_rhs = frame.len_lhs, frame.len_rhs + entry.length_q
+                        wsums, counts = childset.wsums_right, childset.counts_right
+                    frames[backend] = _child_frame(
+                        contexts[backend], frame, childset, index, left_side,
+                        entry.column, lhs, rhs, len_lhs, len_rhs,
+                        wsums[offset] if need_rub else 0.0, counts[offset],
+                    )
+        assert frames_checked > 6
+
+    @needs_native
+    def test_frame_call_rejects_bad_input(self):
+        __, __, __, __, contexts = self._setup(0)
+        context = contexts["native"]
+        kernel, bound = context.kernel, context.native
+        full = context.full_words
+        n_left, n_right = bound.n_items
+        for start_left, start_right, lhs, rhs in (
+            (n_left + 1, 0, (), ()),
+            (0, n_right + 1, (), ()),
+            (n_left + 7, n_right + 7, (), ()),
+            (-1, 0, (), ()),
+            (0, 0, (10_000,), ()),
+            (0, 0, (), (-1,)),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                kernel.child_metrics(
+                    bound, full, full, start_left, start_right, lhs, rhs,
+                    True, True, True,
+                )
+        with pytest.raises(ValueError, match="contiguous uint64"):
+            kernel.child_metrics(
+                bound, full.astype(np.int64), full, 0, 0, (), (), True, True, True
+            )
+        # Every candidate past the end: empty outputs, constants only.
+        left, right, fwd_const, bwd_const, alive = kernel.child_metrics(
+            bound, full, full, n_left, n_right, (), (), True, True, True
+        )
+        assert left.shape == (5, 0) and right.shape == (5, 0)
+        assert (fwd_const, bwd_const) == (0.0, 0.0) and alive.size == 0
+
+
+# ----------------------------------------------------------------------
+# Consumer 1c: backend x n_jobs x interrupt/resume matrix
+# ----------------------------------------------------------------------
+class TestSearchMatrix:
+    """numpy/native x n_jobs {1, 2} x budget interrupt + checkpoint resume."""
+
+    @staticmethod
+    def _stats(stats):
+        import dataclasses
+
+        return dataclasses.astuple(dataclasses.replace(stats, backend=""))
+
+    def _resumed(self, state, backend, n_jobs, budget):
+        from repro.core.search import ExactRuleSearch
+
+        checkpoint, stats, legs = None, None, 0
+        while True:
+            with warnings.catch_warnings():
+                # A budgeted search runs serially whatever n_jobs says.
+                warnings.simplefilter("ignore", UserWarning)
+                search = ExactRuleSearch(
+                    state, max_rule_size=None, backend=backend, n_jobs=n_jobs,
+                    max_nodes=(stats.nodes_visited if stats else 0) + budget,
+                    checkpoint=checkpoint,
+                )
+            rule, gain, stats = search.find_best_rule()
+            legs += 1
+            if stats.complete:
+                return rule, repr(gain), self._stats(stats), legs
+            checkpoint = search.last_checkpoint
+
+    @needs_native
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_backends_identical_across_jobs_and_resume(self, n_jobs):
+        from repro.core.search import ExactRuleSearch
+        from repro.core.state import CoverState
+
+        dataset, __ = generate_planted(
+            SyntheticSpec(
+                n_transactions=150, n_left=8, n_right=8, density_left=0.3,
+                density_right=0.3, n_rules=3, seed=11,
+            )
+        )
+        state = CoverState(dataset)
+        serial = ExactRuleSearch(state, max_rule_size=None).find_best_rule()
+        state.add_rule(serial[0])
+        outcomes = {}
+        for backend in ("numpy", "native"):
+            rule, gain, stats = ExactRuleSearch(
+                state, max_rule_size=None, backend=backend, n_jobs=n_jobs
+            ).find_best_rule()
+            assert stats.backend == backend
+            assert (stats.shards > 1) == (n_jobs > 1)
+            resumed = self._resumed(state, backend, n_jobs, budget=150)
+            assert resumed[3] > 2  # the budget really interrupted the search
+            outcomes[backend] = ((rule, repr(gain), self._stats(stats)), resumed[:3])
+        assert outcomes["numpy"] == outcomes["native"]
+        (rule, gain, complete_stats), (resumed_rule, resumed_gain, resumed_stats) = (
+            outcomes["native"]
+        )
+        # Resumed legs run serially and reproduce the serial search exactly;
+        # the sharded search finds the same rule and gain.
+        serial_stats = self._stats(
+            ExactRuleSearch(state, max_rule_size=None, backend="native").find_best_rule()[2]
+        )
+        assert (resumed_rule, resumed_gain, resumed_stats) == (rule, gain, serial_stats)
+        if n_jobs == 1:
+            assert complete_stats == serial_stats
 
 
 # ----------------------------------------------------------------------

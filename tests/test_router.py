@@ -133,6 +133,33 @@ def packed_body(seed=0, n_rows=4) -> bytes:
     )
 
 
+class TestHttpFraming:
+    def test_router_answers_bad_framing(self, registry):
+        from tests.test_serve import BAD_FRAMING, GOOD_FRAMING, raw_exchange
+
+        async def scenario():
+            router = make_router(registry, workers=1)
+            await router.start()
+            try:
+                bad = [
+                    await raw_exchange(router.host, router.port, raw)
+                    for raw, __, __ in BAD_FRAMING
+                ]
+                good = [
+                    await raw_exchange(router.host, router.port, raw)
+                    for raw in GOOD_FRAMING
+                ]
+                return bad, good
+            finally:
+                await router.stop()
+
+        bad, good = asyncio.run(scenario())
+        for (status, payload), (__, expected, fragment) in zip(bad, BAD_FRAMING):
+            assert status == expected
+            assert fragment in payload["error"]
+        assert [status for status, __ in good] == [200, 200]
+
+
 class TestRouting:
     def test_fans_out_json_and_packed_bodies(self, registry):
         async def scenario():

@@ -617,6 +617,120 @@ class TestPredictionServer:
         assert huge[0] == 413, "absurd Content-Length must be rejected"
 
 
+#: Framing attacks on the shared HTTP parser: (raw request, status, error
+#: fragment).  RFC 9112 section 6.3: a negative or conflicting
+#: Content-Length is unrecoverable (400), and a Transfer-Encoding this
+#: server does not implement is answered 501.
+BAD_FRAMING = [
+    (
+        b"GET /healthz HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        400,
+        "Content-Length",
+    ),
+    (
+        b"GET /healthz HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+        400,
+        "Content-Length",
+    ),
+    (
+        b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\n"
+        b"Content-Length: 5\r\n\r\nabcde",
+        400,
+        "Content-Length",
+    ),
+    (
+        b"GET /healthz HTTP/1.1\r\nContent-Length: 2, 5\r\n\r\nabcde",
+        400,
+        "Content-Length",
+    ),
+    (
+        b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"0\r\n\r\n",
+        501,
+        "Transfer-Encoding",
+    ),
+    (
+        b"POST /predict HTTP/1.1\r\nContent-Length: 5\r\n"
+        b"Transfer-Encoding: identity\r\n\r\nabcde",
+        501,
+        "Transfer-Encoding",
+    ),
+]
+
+#: Repeated *identical* lengths are one length (RFC 9112 section 6.3).
+GOOD_FRAMING = [
+    b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nContent-Length: 3, 3\r\n\r\nabc",
+]
+
+
+async def raw_exchange(host: str, port: int, raw: bytes) -> tuple[int, dict]:
+    """Send one raw request; return the status and decoded JSON body."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(raw)
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    head, __, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestHttpFraming:
+    """The shared parser answers bad framing with a defined status."""
+
+    @pytest.mark.parametrize("raw, status, fragment", BAD_FRAMING)
+    def test_parser_raises_request_error(self, raw, status, fragment):
+        from repro.serve.server import _RequestError, read_http_request
+
+        async def parse():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_http_request(reader, 1 << 20)
+
+        with pytest.raises(_RequestError) as caught:
+            asyncio.run(parse())
+        assert caught.value.status == status
+        assert fragment in caught.value.payload["error"]
+
+    def test_parser_accepts_repeated_identical_lengths(self):
+        from repro.serve.server import read_http_request
+
+        async def parse(raw):
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_http_request(reader, 1 << 20)
+
+        assert asyncio.run(parse(GOOD_FRAMING[0]))[2] == b""
+        assert asyncio.run(parse(GOOD_FRAMING[1]))[2] == b"abc"
+
+    def test_server_answers_bad_framing(self, registry):
+        async def scenario():
+            server = PredictionServer(
+                PredictionService(registry, max_delay_ms=0.0), port=0
+            )
+            await server.start()
+            try:
+                bad = [
+                    await raw_exchange(server.host, server.port, raw)
+                    for raw, __, __ in BAD_FRAMING
+                ]
+                good = [
+                    await raw_exchange(server.host, server.port, raw)
+                    for raw in GOOD_FRAMING
+                ]
+                return bad, good
+            finally:
+                await server.stop()
+
+        bad, good = asyncio.run(scenario())
+        for (status, payload), (__, expected, fragment) in zip(bad, BAD_FRAMING):
+            assert status == expected
+            assert fragment in payload["error"]
+        assert [status for status, __ in good] == [200, 200]
+
+
 class TestServeCli:
     def test_publish_serve_predict_batch(self, tmp_path, capsys):
         from repro.cli import main
