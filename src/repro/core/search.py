@@ -344,10 +344,11 @@ class _Quantized:
         # Net per-cell weight sign: covering an uncovered cell gains its
         # code length, introducing a new error loses it, anything else 0.
         # With ``keep_sign_masks`` the positive/negative cell masks stay
-        # alive (the native search backend expresses net sums as two
-        # fused AND+popcounts on their packed columns instead of a dense
-        # GEMM); otherwise they are temporaries as before, so a numpy
-        # fit never pins two extra dense (n x items) masks.
+        # alive (the native search backend packs them into the net-sign
+        # planes its frame call sums gains and net sums over, as
+        # AND+popcounts instead of dense GEMMs); otherwise they are
+        # temporaries, so a numpy fit never pins two extra dense
+        # (n x items) masks.
         pos_left = state.uncovered_left
         neg_left = ~(dataset.left | state.translated_left)
         pos_right = state.uncovered_right
