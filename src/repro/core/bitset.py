@@ -89,6 +89,7 @@ __all__ = [
     "BACKENDS",
     "WORD_BITS",
     "BitMatrix",
+    "and_popcount_grid",
     "and_popcount_rows",
     "and_reduce_many_rows",
     "and_reduce_rows",
@@ -503,6 +504,32 @@ def cooccur_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
+def and_popcount_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``(n_left, n_right)`` int64 grid of ``popcount(left[a] & right[b])``.
+
+    The counting sibling of :func:`cooccur_grid`: over two packed
+    matrices of the same transactions, entry ``(a, b)`` is the exact
+    packed form of ``(A.T @ B)[a, b]`` for the Boolean matrices ``A``
+    and ``B``.  Chunked over ``left`` rows the same way.
+    """
+    left = np.ascontiguousarray(left, dtype=np.uint64)
+    right = np.ascontiguousarray(right, dtype=np.uint64)
+    if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
+        raise ValueError("left and right must be 2-D with equal word counts")
+    n_left, n_words = left.shape
+    n_right = right.shape[0]
+    out = np.zeros((n_left, n_right), dtype=np.int64)
+    if not (n_left and n_right and n_words):
+        return out
+    chunk = max(1, _GRID_WORDS // (n_right * n_words))
+    for start in range(0, n_left, chunk):
+        block = left[start : start + chunk, None, :] & right[None, :, :]
+        out[start : start + chunk] = popcount_rows(
+            block.reshape(-1, n_words)
+        ).reshape(-1, n_right)
+    return out
+
+
 def subset_match_rows(
     rows: np.ndarray, sets: np.ndarray, backend: str = "auto"
 ) -> np.ndarray:
@@ -704,11 +731,12 @@ class BitMatrix:
         return self.n_items
 
     def to_bool_columns(self) -> np.ndarray:
-        """Unpack back to a ``(n_transactions, n_items)`` Boolean matrix."""
-        out = np.zeros((self.n_bits, self.n_items), dtype=bool)
-        for item in range(self.n_items):
-            out[:, item] = unpack_mask(self.words[item], self.n_bits)
-        return out
+        """Unpack back to a C-ordered ``(n_transactions, n_items)`` Boolean matrix."""
+        return np.ascontiguousarray(self.to_bool_rows().T)
+
+    def to_bool_rows(self) -> np.ndarray:
+        """Unpack to a ``(n_items, n_transactions)`` Boolean matrix."""
+        return _row_bits(self.words)[:, : self.n_bits].view(bool)
 
     # ------------------------------------------------------------------
     # Vectorized set algebra

@@ -19,7 +19,6 @@ compress well predict well on data from the same distribution.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Iterable
 
 import numpy as np
@@ -81,10 +80,6 @@ def predict_view(
     bit-identical outputs, much faster on batches), and ``"auto"``
     picks the compiled path whenever there is more than one row to
     predict.
-
-    Rules whose antecedent towards ``target`` is empty are skipped with
-    a warning: an empty itemset is contained in every transaction, so
-    such a rule would fire on every row and silence real signal.
     """
     source_matrix = np.asarray(source_matrix, dtype=bool)
     if engine not in ("auto", "loop", "compiled"):
@@ -108,15 +103,7 @@ def predict_view(
     for rule in table:
         if not rule.applies_towards(target):
             continue
-        antecedent = list(rule.antecedent(target))
-        if not antecedent:
-            warnings.warn(
-                f"skipping rule {rule!r}: empty antecedent towards "
-                f"{target} would fire on every transaction",
-                stacklevel=2,
-            )
-            continue
-        rows = source_matrix[:, antecedent].all(axis=1)
+        rows = source_matrix[:, list(rule.antecedent(target))].all(axis=1)
         if rows.any():
             predicted[np.ix_(rows, list(rule.consequent(target)))] = True
     return predicted

@@ -64,9 +64,9 @@ incrementally — extending a rule by one item adds one weight column
 instead of re-slicing the full net-weight matrix per evaluation.
 
 A :class:`SearchCache` carries the dataset-static state (packed item
-masks, 0/1 item matrices, the co-occurrence grid) across the greedy
-iterations of ``TranslatorExact`` so it is built once per fit rather than
-once per ``find_best_rule`` call.
+masks, the co-occurrence grid, and — for the numpy backend only — 0/1
+item matrices) across the greedy iterations of ``TranslatorExact`` so it
+is built once per fit rather than once per ``find_best_rule`` call.
 
 Parallel sharding (``n_jobs``)
 ------------------------------
@@ -93,6 +93,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -105,6 +106,7 @@ from repro.data.dataset import Side, TwoViewDataset
 from repro.core.bitset import (
     BACKENDS,
     BitMatrix,
+    and_popcount_grid,
     cooccur_grid,
     fixed_weight_table,
     pack_mask,
@@ -283,12 +285,19 @@ class SearchCache:
         )
         self.left_counts = self.left_bits.counts()
         self.right_counts = self.right_bits.counts()
-        # 0/1 item masks, one row per item, in float64 so the fixed-point
-        # matrix products downstream run on the BLAS dot kernels.
-        self.left_T = np.ascontiguousarray(dataset.left.T, dtype=np.float64)
-        self.right_T = np.ascontiguousarray(dataset.right.T, dtype=np.float64)
         self.cooccur = cooccur_grid(self.left_bits.words, self.right_bits.words)
         self.full_words = pack_mask(np.ones(dataset.n_transactions, dtype=bool))
+
+    # 0/1 item masks, one row per item, in float64 so the numpy backend's
+    # fixed-point matrix products run on the BLAS dot kernels.  Built on
+    # first use: the native backend never reads them.
+    @functools.cached_property
+    def left_T(self) -> np.ndarray:
+        return np.ascontiguousarray(self.dataset.left.T, dtype=np.float64)
+
+    @functools.cached_property
+    def right_T(self) -> np.ndarray:
+        return np.ascontiguousarray(self.dataset.right.T, dtype=np.float64)
 
 
 class _Quantized:
@@ -310,15 +319,13 @@ class _Quantized:
         "wq_right",
         "tubq_left",
         "tubq_right",
+        "pos",
+        "neg",
         "netq_left_T",
         "netq_right_T",
-        "pos_left",
-        "neg_left",
-        "pos_right",
-        "neg_right",
     )
 
-    def __init__(self, state: CoverState, keep_sign_masks: bool = False) -> None:
+    def __init__(self, state: CoverState, dense_net: bool = True) -> None:
         dataset = state.dataset
         n = dataset.n_transactions
         weights_left = state._weights_left
@@ -343,26 +350,26 @@ class _Quantized:
         self.tubq_right = state.uncovered_right @ self.wq_right
         # Net per-cell weight sign: covering an uncovered cell gains its
         # code length, introducing a new error loses it, anything else 0.
-        # With ``keep_sign_masks`` the positive/negative cell masks stay
-        # alive (the native search backend packs them into the net-sign
-        # planes its frame call sums gains and net sums over, as
-        # AND+popcounts instead of dense GEMMs); otherwise they are
-        # temporaries, so a numpy fit never pins two extra dense
-        # (n x items) masks.
-        pos_left = state.uncovered_left
-        neg_left = ~(dataset.left | state.translated_left)
-        pos_right = state.uncovered_right
-        neg_right = ~(dataset.right | state.translated_right)
-        sign_left = pos_left.astype(np.float64) - neg_left.astype(np.float64)
-        sign_right = pos_right.astype(np.float64) - neg_right.astype(np.float64)
-        self.netq_left_T = np.ascontiguousarray(sign_left.T) * self.wq_left[:, None]
-        self.netq_right_T = np.ascontiguousarray(sign_right.T) * self.wq_right[:, None]
-        if keep_sign_masks:
-            self.pos_left, self.neg_left = pos_left, neg_left
-            self.pos_right, self.neg_right = pos_right, neg_right
-        else:
-            self.pos_left = self.neg_left = None
-            self.pos_right = self.neg_right = None
+        # The positive and negative cells are the state's packed uncovered
+        # and would-be-error planes, held by reference as (left, right)
+        # pairs: the native frame call and the seed pair sum gains over
+        # them as AND+popcounts.  Only the numpy GEMM path (``dense_net``)
+        # expands them into dense fixed-point net matrices.
+        planes_left = state.planes(Side.LEFT)
+        planes_right = state.planes(Side.RIGHT)
+        self.pos = (planes_left.uncovered.words, planes_right.uncovered.words)
+        self.neg = (planes_left.neg.words, planes_right.neg.words)
+        self.netq_left_T = self.netq_right_T = None
+        if dense_net:
+            self.netq_left_T = self._net_rows(planes_left, self.wq_left)
+            self.netq_right_T = self._net_rows(planes_right, self.wq_right)
+
+    @staticmethod
+    def _net_rows(planes, wq: np.ndarray) -> np.ndarray:
+        """Dense ``(n_items, n)`` fixed-point net weights of one view."""
+        sign = planes.uncovered.to_bool_rows().astype(np.float64)
+        sign -= planes.neg.to_bool_rows()
+        return sign * wq[:, None]
 
     def to_float(self, value: float) -> float:
         return float(value) / self.one
@@ -480,10 +487,11 @@ class _BitsetContext:
 
     On the native backend the dense matrices are not built at all: the
     context instead binds, once, the arrays the per-frame C call reads —
-    the universe entries' packed columns, the packed net-sign planes of
-    every dataset column, the fixed-point code lengths and the ``rub``
-    tables.  Nothing here is written after construction, so the shards of
-    a parallel search share one context across threads.
+    the universe entries' packed columns, the cover state's own packed
+    uncovered and would-be-error planes as the net-sign planes (bound
+    as they are, not rebuilt), the fixed-point code lengths and the
+    ``rub`` tables.  Nothing here is written after construction, so the
+    shards of a parallel search share one context across threads.
     """
 
     __slots__ = (
@@ -561,14 +569,8 @@ class _BitsetContext:
             items=(self.words_all[self.left_index], self.words_all[self.right_index]),
             columns=(left_columns, right_columns),
             universe=(self.left_index, self.right_index),
-            pos=(
-                BitMatrix.from_bool_columns(quantized.pos_left).words,
-                BitMatrix.from_bool_columns(quantized.pos_right).words,
-            ),
-            neg=(
-                BitMatrix.from_bool_columns(quantized.neg_left).words,
-                BitMatrix.from_bool_columns(quantized.neg_right).words,
-            ),
+            pos=quantized.pos,
+            neg=quantized.neg,
             wq=(quantized.wq_left, quantized.wq_right),
             tub=(
                 fixed_weight_table(quantized.tubq_right),
@@ -1019,7 +1021,7 @@ class ExactRuleSearch:
         state = self.state
         dataset = state.dataset
         stats = SearchStats(kernel=self.kernel, backend=self.backend)
-        quantized = _Quantized(state, keep_sign_masks=self.backend == "native")
+        quantized = _Quantized(state, dense_net=self.backend != "native")
         universe = self._build_universe(quantized)
 
         best_rule: TranslationRule | None = None
@@ -1071,7 +1073,8 @@ class ExactRuleSearch:
         self, quantized: _Quantized, best_rule: TranslationRule | None, best_q: float
     ) -> tuple[TranslationRule | None, float]:
         """Best single-item pair rule, computed for all |I_L| x |I_R| pairs
-        in three matrix products.
+        from four packed AND+popcount grids over the state's net-sign
+        planes.
 
         This gives the branch-and-bound a strong lower bound from the
         start, which both tightens pruning on complete runs and makes the
@@ -1080,8 +1083,19 @@ class ExactRuleSearch:
         """
         dataset = self.state.dataset
         cache = self.cache
-        forward_grid = cache.left_T @ quantized.netq_right_T.T
-        backward_grid = quantized.netq_left_T @ cache.right_T.T
+        left_words = cache.left_bits.words
+        right_words = cache.right_bits.words
+        (pos_left, pos_right), (neg_left, neg_right) = quantized.pos, quantized.neg
+        # Exact integers: each entry is wq * (|X & pos| - |X & neg|), the
+        # fixed-point directional gain sum the childsets compute.
+        forward_grid = (
+            and_popcount_grid(left_words, pos_right)
+            - and_popcount_grid(left_words, neg_right)
+        ) * quantized.wq_right[None, :]
+        backward_grid = (
+            and_popcount_grid(pos_left, right_words)
+            - and_popcount_grid(neg_left, right_words)
+        ) * quantized.wq_left[:, None]
         length_grid = quantized.wq_left[:, None] + quantized.wq_right[None, :]
         two = 2.0 * quantized.one
         grids = {

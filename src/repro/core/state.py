@@ -4,11 +4,37 @@ All three TRANSLATOR algorithms grow a table one rule at a time, and the
 compression gain of a candidate rule (paper, Eq. 1-2) must be evaluated
 against the *current* table thousands of times per iteration.  This module
 maintains the derived state — translated views, uncovered tables ``U``,
-error tables ``E`` and all encoded-length totals — incrementally, and
-computes gains as vectorised masked sums:
+error tables ``E`` and all encoded-length totals — incrementally.
 
-    Δ_{D|T}(X -> Y) = Σ_{t: X ⊆ t_L}  L(Y ∩ U_t^R | D_R)
-                                     - L(Y \\ (t_R ∪ E_t^R) | D_R)
+Packed planes
+-------------
+Every per-cell quantity is a packed bit plane: a :class:`BitMatrix` with
+one row per item and one bit per transaction (:mod:`repro.core.bitset`
+word layout, padding bits past ``n_transactions`` always zero).  Each
+view keeps five planes (:class:`ViewPlanes`): the data ``D``, ``U``, the
+translated view ``T``, ``E``, and the would-be-error plane ``¬(D ∪ T)``
+— the cells a rule would turn into new errors, the "neg" plane of the
+exact search's net-sign pair (``U`` is its "pos" plane).  That is one
+bit per cell per plane, an eighth of a Boolean matrix.  Planes are
+replaced, never written in place: :meth:`CoverState.add_rule` builds new
+word arrays for the rows a rule touches, so a plane handed to a search
+context stays a consistent snapshot.
+
+Popcount gains
+--------------
+With ``s`` the packed support of the antecedent, the gain of one
+direction is
+
+    Δ_{D|T}(X -> Y) = Σ_{c ∈ Y} w_c · (|s ∧ U_c| - |s ∧ ¬(D ∪ T)_c|)
+
+with ``w_c = L(c | D_R)``.  Each term is an AND plus a popcount per
+consequent column; the two count vectors are then weighted as
+``float(counts @ weights)``.  The dense reference state
+(``tests/oracle_state.py``) sums the masked cells of an ``np.ix_`` grid
+column by column, which yields the *same* integer count vectors, and
+weights them with the same expression — so every gain, length and
+snapshot is bit-identical to it, not merely close
+(``tests/test_state_packed.py`` checks this after every rule).
 
 Key facts exploited (Section 5.1): rules are only ever added, so the
 translated views grow monotonically, ``U`` shrinks monotonically and ``E``
@@ -17,22 +43,53 @@ grows monotonically; an error can never be removed again.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.data.dataset import Side, TwoViewDataset
+from repro.core.bitset import BitMatrix, pack_mask, popcount, popcount_rows
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import Direction, TranslationRule
 from repro.core.table import TranslationTable
 
-__all__ = ["CoverState"]
+__all__ = ["CoverState", "ViewPlanes"]
+
+
+@dataclasses.dataclass(frozen=True)
+class ViewPlanes:
+    """The packed cover planes of one view (one row per item).
+
+    ``neg`` is ``¬(data ∪ translated)`` over the real transactions: the
+    cells a rule covering them would turn into new errors.
+    """
+
+    data: BitMatrix
+    uncovered: BitMatrix
+    translated: BitMatrix
+    errors: BitMatrix
+    neg: BitMatrix
+
+
+def _with_rows(matrix: BitMatrix, columns: list[int], rows: np.ndarray) -> BitMatrix:
+    """A copy of ``matrix`` whose rows ``columns`` are replaced by ``rows``."""
+    words = matrix.words.copy()
+    words[columns] = rows
+    return BitMatrix(words, matrix.n_bits)
 
 
 class CoverState:
     """Mutable state of a translation table being constructed for a dataset.
 
-    The state owns a :class:`TranslationTable` plus the matrices derived
-    from it.  Rules are added through :meth:`add_rule`, which keeps
-    everything consistent in ``O(|supp| * |rule|)`` time.
+    The state owns a :class:`TranslationTable` plus the packed planes
+    derived from it.  Rules are added through :meth:`add_rule`, which
+    keeps everything consistent: ``O(|rule| * n / 64)`` word operations
+    plus one copy of each touched view's planes.
+
+    The dense ``(n_transactions, n_items)`` Boolean tables
+    (``uncovered_*``, ``translated_*``, ``errors_*``) are read-only
+    properties that unpack a plane on every access; hot paths read the
+    packed planes through :meth:`planes` instead.
 
     Parameters
     ----------
@@ -51,14 +108,20 @@ class CoverState:
         self.dataset = dataset
         self.codes = code_lengths if code_lengths is not None else CodeLengthModel(dataset)
         self.table = TranslationTable()
-        n = dataset.n_transactions
-        self.translated_left = np.zeros((n, dataset.n_left), dtype=bool)
-        self.translated_right = np.zeros((n, dataset.n_right), dtype=bool)
-        # With an empty table everything is uncovered and nothing is an error.
-        self.uncovered_left = dataset.left.copy()
-        self.uncovered_right = dataset.right.copy()
-        self.errors_left = np.zeros_like(dataset.left)
-        self.errors_right = np.zeros_like(dataset.right)
+        # With an empty table everything is uncovered and nothing is
+        # translated or an error.
+        full = pack_mask(np.ones(dataset.n_transactions, dtype=bool))
+        self._planes: dict[Side, ViewPlanes] = {}
+        for side in (Side.LEFT, Side.RIGHT):
+            data = BitMatrix.from_bool_columns(dataset.view(side))
+            empty = BitMatrix(np.zeros_like(data.words), data.n_bits)
+            self._planes[side] = ViewPlanes(
+                data=data,
+                uncovered=data,
+                translated=empty,
+                errors=empty,
+                neg=BitMatrix(full & ~data.words, data.n_bits),
+            )
         # Finite per-item weights: infinite codes belong to never-occurring
         # items, which can never be covered nor erroneously introduced by
         # rules built from occurring itemsets (guarded in gain/add paths).
@@ -70,12 +133,67 @@ class CoverState:
         )
         self.table_bits = 0.0
         self.correction_bits_left = float(
-            np.dot(self.uncovered_left.sum(axis=0), self._weights_left)
+            np.dot(popcount_rows(self._planes[Side.LEFT].data.words), self._weights_left)
         )
         self.correction_bits_right = float(
-            np.dot(self.uncovered_right.sum(axis=0), self._weights_right)
+            np.dot(
+                popcount_rows(self._planes[Side.RIGHT].data.words), self._weights_right
+            )
         )
         self.baseline_bits = self.correction_bits_left + self.correction_bits_right
+
+    # ------------------------------------------------------------------
+    # Packed planes and their dense read-only views
+    # ------------------------------------------------------------------
+    def planes(self, side: Side) -> ViewPlanes:
+        """The current packed planes of one view (never mutated later)."""
+        return self._planes[side]
+
+    def support(self, side: Side, items: tuple[int, ...]) -> np.ndarray:
+        """Packed transaction set of ``items`` in one view.
+
+        The support form :meth:`best_direction` accepts; an empty itemset
+        is contained in every transaction.
+        """
+        return self._planes[side].data.support(items)
+
+    def _weights(self, side: Side) -> np.ndarray:
+        return self._weights_left if side is Side.LEFT else self._weights_right
+
+    def _dense(self, side: Side, plane: str) -> np.ndarray:
+        dense = getattr(self._planes[side], plane).to_bool_columns()
+        dense.flags.writeable = False
+        return dense
+
+    @property
+    def uncovered_left(self) -> np.ndarray:
+        """``U`` of the left view as a read-only ``(n, n_left)`` Boolean copy."""
+        return self._dense(Side.LEFT, "uncovered")
+
+    @property
+    def uncovered_right(self) -> np.ndarray:
+        """``U`` of the right view as a read-only ``(n, n_right)`` Boolean copy."""
+        return self._dense(Side.RIGHT, "uncovered")
+
+    @property
+    def translated_left(self) -> np.ndarray:
+        """Translated left view as a read-only Boolean copy."""
+        return self._dense(Side.LEFT, "translated")
+
+    @property
+    def translated_right(self) -> np.ndarray:
+        """Translated right view as a read-only Boolean copy."""
+        return self._dense(Side.RIGHT, "translated")
+
+    @property
+    def errors_left(self) -> np.ndarray:
+        """``E`` of the left view as a read-only Boolean copy."""
+        return self._dense(Side.LEFT, "errors")
+
+    @property
+    def errors_right(self) -> np.ndarray:
+        """``E`` of the right view as a read-only Boolean copy."""
+        return self._dense(Side.RIGHT, "errors")
 
     # ------------------------------------------------------------------
     # Length accounting
@@ -90,10 +208,16 @@ class CoverState:
             return 1.0
         return self.total_length() / self.baseline_bits
 
+    def _cells(self, side: Side, plane: str) -> int:
+        return popcount(getattr(self._planes[side], plane).words)
+
     def correction_fraction(self) -> float:
         """``|C|% = |C| / ((|I_L| + |I_R|) * |D|)`` (Section 6, fraction)."""
-        cells = int(self.uncovered_left.sum() + self.errors_left.sum())
-        cells += int(self.uncovered_right.sum() + self.errors_right.sum())
+        cells = sum(
+            self._cells(side, plane)
+            for side in (Side.LEFT, Side.RIGHT)
+            for plane in ("uncovered", "errors")
+        )
         denominator = self.dataset.n_items * self.dataset.n_transactions
         return cells / denominator if denominator else 0.0
 
@@ -101,10 +225,10 @@ class CoverState:
         """Per-iteration statistics used by the Fig. 2 construction trace."""
         return {
             "n_rules": len(self.table),
-            "uncovered_left": int(self.uncovered_left.sum()),
-            "uncovered_right": int(self.uncovered_right.sum()),
-            "errors_left": int(self.errors_left.sum()),
-            "errors_right": int(self.errors_right.sum()),
+            "uncovered_left": self._cells(Side.LEFT, "uncovered"),
+            "uncovered_right": self._cells(Side.RIGHT, "uncovered"),
+            "errors_left": self._cells(Side.LEFT, "errors"),
+            "errors_right": self._cells(Side.RIGHT, "errors"),
             "table_bits": self.table_bits,
             "correction_bits_left": self.correction_bits_left,
             "correction_bits_right": self.correction_bits_right,
@@ -116,43 +240,25 @@ class CoverState:
     # Gain computation (Eq. 1-2)
     # ------------------------------------------------------------------
     def _delta_cells(
-        self, target: Side, rows: np.ndarray, consequent: tuple[int, ...]
+        self, target: Side, support: np.ndarray, consequent: tuple[int, ...]
     ) -> float:
-        """``Δ_{D|T}`` of one direction given the antecedent's support rows.
+        """``Δ_{D|T}`` of one direction given the antecedent's packed support.
 
-        ``rows`` is an integer index array of the transactions in which the
-        antecedent occurs (the fast path used by the candidate-based
-        algorithms, which precompute supports once).
+        Covered bits minus new error bits over the consequent columns.
         """
-        if rows.size == 0:
-            return 0.0
-        consequent_columns = list(consequent)
-        if target is Side.RIGHT:
-            uncovered = self.uncovered_right
-            translated = self.translated_right
-            data = self.dataset.right
-            weights = self._weights_right[consequent_columns]
-        else:
-            uncovered = self.uncovered_left
-            translated = self.translated_left
-            data = self.dataset.left
-            weights = self._weights_left[consequent_columns]
-        grid = np.ix_(rows, consequent_columns)
-        covered_cells = uncovered[grid]
-        # New errors: consequent items neither present in the data nor
-        # already translated (already-translated absent items are in E).
-        error_cells = ~(data[grid] | translated[grid])
-        return float(covered_cells.sum(axis=0) @ weights) - float(
-            error_cells.sum(axis=0) @ weights
-        )
+        planes = self._planes[target]
+        columns = list(consequent)
+        weights = self._weights(target)[columns]
+        covered = popcount_rows(planes.uncovered.words[columns] & support)
+        errors = popcount_rows(planes.neg.words[columns] & support)
+        return float(covered @ weights) - float(errors @ weights)
 
     def _delta_towards(
         self, target: Side, antecedent: tuple[int, ...], consequent: tuple[int, ...]
     ) -> float:
         """``Δ_{D|T}`` of one direction: covered bits minus new error bits."""
-        source = target.opposite
-        rows = np.flatnonzero(self.dataset.support_mask(source, antecedent))
-        return self._delta_cells(target, rows, consequent)
+        support = self.support(target.opposite, antecedent)
+        return self._delta_cells(target, support, consequent)
 
     def delta_forward(self, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> float:
         """``Δ_{D|T}(X -> Y)``: data-length reduction of the forward part."""
@@ -186,14 +292,14 @@ class CoverState:
 
         Computes the two directional deltas once and derives all three
         gains from them (the bidirectional delta is their sum, Section 5.1).
-        ``support_left`` / ``support_right`` optionally pass precomputed
-        support row-index arrays of ``lhs`` / ``rhs`` (the candidate-based
-        algorithms reuse them across iterations).
+        ``support_left`` / ``support_right`` optionally pass the packed
+        supports of ``lhs`` / ``rhs`` from :meth:`support` (the
+        candidate-based algorithms compute them once per fit).
         """
         if support_left is None:
-            support_left = np.flatnonzero(self.dataset.support_mask(Side.LEFT, lhs))
+            support_left = self.support(Side.LEFT, lhs)
         if support_right is None:
-            support_right = np.flatnonzero(self.dataset.support_mask(Side.RIGHT, rhs))
+            support_right = self.support(Side.RIGHT, rhs)
         forward = self._delta_cells(Side.RIGHT, support_left, rhs)
         backward = self._delta_cells(Side.LEFT, support_right, lhs)
         base_bits = self.codes.itemset_length(Side.LEFT, lhs) + self.codes.itemset_length(
@@ -213,35 +319,29 @@ class CoverState:
     def _apply_towards(
         self, target: Side, antecedent: tuple[int, ...], consequent: tuple[int, ...]
     ) -> None:
-        source = target.opposite
-        rows = self.dataset.support_mask(source, antecedent)
-        if not rows.any():
+        support = self.support(target.opposite, antecedent)
+        if not support.any():
             return
+        planes = self._planes[target]
         columns = list(consequent)
-        if target is Side.RIGHT:
-            translated, uncovered, errors = (
-                self.translated_right,
-                self.uncovered_right,
-                self.errors_right,
-            )
-            data = self.dataset.right
-            weights = self._weights_right[columns]
-        else:
-            translated, uncovered, errors = (
-                self.translated_left,
-                self.uncovered_left,
-                self.errors_left,
-            )
-            data = self.dataset.left
-            weights = self._weights_left[columns]
-        grid = np.ix_(rows, columns)
-        newly_covered = uncovered[grid]
-        new_errors = ~(data[grid] | translated[grid])
-        covered_bits = float(newly_covered.sum(axis=0) @ weights)
-        error_bits = float(new_errors.sum(axis=0) @ weights)
-        translated[grid] = True
-        uncovered[grid] = False
-        errors[grid] |= new_errors
+        weights = self._weights(target)[columns]
+        newly_covered = planes.uncovered.words[columns] & support
+        new_errors = planes.neg.words[columns] & support
+        covered_bits = float(popcount_rows(newly_covered) @ weights)
+        error_bits = float(popcount_rows(new_errors) @ weights)
+        self._planes[target] = dataclasses.replace(
+            planes,
+            translated=_with_rows(
+                planes.translated, columns, planes.translated.words[columns] | support
+            ),
+            uncovered=_with_rows(
+                planes.uncovered, columns, planes.uncovered.words[columns] & ~support
+            ),
+            errors=_with_rows(
+                planes.errors, columns, planes.errors.words[columns] | new_errors
+            ),
+            neg=_with_rows(planes.neg, columns, planes.neg.words[columns] & ~support),
+        )
         if target is Side.RIGHT:
             self.correction_bits_right += error_bits - covered_bits
         else:
@@ -265,6 +365,5 @@ class CoverState:
         ``tub(t_side) = L(U_t^side | D_side)``; constant during the search
         for a single rule, recomputed between iterations.
         """
-        if side is Side.RIGHT:
-            return self.uncovered_right @ self._weights_right
-        return self.uncovered_left @ self._weights_left
+        uncovered = self.uncovered_right if side is Side.RIGHT else self.uncovered_left
+        return uncovered @ self._weights(side)

@@ -56,11 +56,12 @@ import mmap
 import os
 import struct
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.bitset import n_words_for
+from repro.core.bitset import n_words_for, popcount_rows
 from repro.data.dataset import Side
 from repro.resilience.faults import fault_point
 from repro.serve.artifact import (
@@ -117,8 +118,6 @@ def _direction_arrays(
         artifact.n_right if target is Side.RIGHT else artifact.n_left,
         backend="numpy",
     )
-    from repro.core.bitset import popcount_rows
-
     weights = popcount_rows(compiled.antecedents.words).astype(np.uint32)
     return compiled.antecedents.words, compiled.consequents.words, weights
 
@@ -387,7 +386,10 @@ def map_artifact(path: str | Path, verify: bool = True) -> MappedArtifact:
         ) from error
     try:
         return _parse_mapping(path, buffer, verify)
-    except BaseException:
+    except BaseException as error:
+        # The failed parse's frames may still hold section views into the
+        # buffer, and mmap refuses to close while any exist.
+        traceback.clear_frames(error.__traceback__)
         buffer.close()
         raise
 
@@ -497,6 +499,13 @@ def _check_model_sections(
                 f"direction {prefix!r} sections have inconsistent shapes "
                 f"(ant {ant.shape}, cons {cons.shape}, weights {weights.shape} "
                 f"for {n_source}->{n_target} items)",
+            )
+        # Compiled rules come from TranslationRule, whose sides are never
+        # empty; an empty row would fire on every transaction (antecedent)
+        # or predict nothing (consequent).
+        if n_rules and not (popcount_rows(ant).all() and popcount_rows(cons).all()):
+            raise _corrupt(
+                path, f"direction {prefix!r} holds a rule with an empty side"
             )
 
 

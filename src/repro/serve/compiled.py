@@ -123,8 +123,8 @@ class CompiledPredictor:
         n_source_items: Width of incoming source-view matrices.
         n_target_items: Width of the predicted target-view matrices.
         rules: The rules to compile; only those firing towards
-            ``target`` are kept, and rules with an empty antecedent are
-            skipped with a warning (they would fire on every row).
+            ``target`` are kept (a :class:`TranslationRule` never has an
+            empty side, so no compiled rule fires on every row).
         backend: Word-op backend of the ``packed`` strategy —
             ``"native"`` (fused C kernel), ``"numpy"``, or ``"auto"``
             (native when a C toolchain is available; falls back
@@ -171,16 +171,8 @@ class CompiledPredictor:
         for rule in rules:
             if not rule.applies_towards(target):
                 continue
-            antecedent = tuple(rule.antecedent(target))
-            if not antecedent:
-                warnings.warn(
-                    f"skipping rule {rule!r}: empty antecedent towards "
-                    f"{target} would fire on every transaction",
-                    stacklevel=2,
-                )
-                continue
             ant_mask = np.zeros(self.n_source_items, dtype=bool)
-            ant_mask[list(antecedent)] = True
+            ant_mask[list(rule.antecedent(target))] = True
             cons_mask = np.zeros(self.n_target_items, dtype=bool)
             cons_mask[list(rule.consequent(target))] = True
             ant_masks.append(ant_mask)

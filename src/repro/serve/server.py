@@ -1092,6 +1092,8 @@ _REASONS = {
     404: "Not Found",
     408: "Request Timeout",
     413: "Payload Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     501: "Not Implemented",
     502: "Bad Gateway",
     503: "Service Unavailable",
@@ -1390,6 +1392,24 @@ class PredictionServer:
         return await read_http_request(reader, self.MAX_BODY_BYTES)
 
 
+#: Header lines one request may carry before the parser answers 431.
+MAX_HEADER_LINES = 100
+
+
+async def _read_line(
+    reader: asyncio.StreamReader, status: int, message: str
+) -> bytes:
+    """One CRLF line; a line past the reader's limit raises ``status``.
+
+    ``StreamReader.readline`` signals an over-limit line with a bare
+    ``ValueError`` after discarding the buffered part of it.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _RequestError(status, {"error": message}) from None
+
+
 async def read_http_request(
     reader: asyncio.StreamReader, max_body_bytes: int
 ) -> tuple[str, str, bytes, dict[str, str]]:
@@ -1405,9 +1425,14 @@ async def read_http_request(
     is not a run of ASCII digits, or that disagrees with another one, is
     a 400 (repeated identical values count as one); any
     ``Transfer-Encoding`` is a 501, since only length-delimited bodies
-    are implemented.
+    are implemented.  A header section the parser will not hold is a 431
+    (RFC 6585 section 5): a header line longer than the stream reader's
+    limit, or more than ``MAX_HEADER_LINES`` header lines.  A request
+    line past that limit is a 414.
     """
-    request_line = (await reader.readline()).decode("ascii", "replace").strip()
+    request_line = (
+        await _read_line(reader, 414, "request line exceeds the stream limit")
+    ).decode("ascii", "replace").strip()
     parts = request_line.split()
     if len(parts) < 2:
         raise _RequestError(
@@ -1416,10 +1441,18 @@ async def read_http_request(
     method, path = parts[0].upper(), parts[1]
     lengths: set[str] = set()
     headers: dict[str, str] = {}
+    n_lines = 0
     while True:
-        line = (await reader.readline()).decode("ascii", "replace")
+        line = (
+            await _read_line(reader, 431, "header line exceeds the stream limit")
+        ).decode("ascii", "replace")
         if line in ("\r\n", "\n", ""):
             break
+        n_lines += 1
+        if n_lines > MAX_HEADER_LINES:
+            raise _RequestError(
+                431, {"error": f"more than {MAX_HEADER_LINES} header lines"}
+            )
         header, _, value = line.partition(":")
         header = header.strip().lower()
         headers[header] = value.strip()

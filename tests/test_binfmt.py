@@ -276,6 +276,32 @@ class TestCorruption:
             map_artifact(path)
 
 
+    @pytest.mark.parametrize("section", ["R.ant_words", "L.cons_words"])
+    def test_empty_rule_side_is_rejected(self, tmp_path, section):
+        """A validly hashed sidecar with an all-zero rule row is refused.
+
+        Compiled rules come from ``TranslationRule``, which has no empty
+        side; a zero antecedent row would fire on every transaction.
+        """
+        import hashlib
+        import json as jsonlib
+
+        rng = np.random.default_rng(5)
+        path = tmp_path / "empty-side.bin"
+        write_compiled(make_artifact(rng), path)
+        blob = bytearray(path.read_bytes())
+        magic, version, header_len, __ = _PRELUDE.unpack(blob[: _PRELUDE.size])
+        meta = jsonlib.loads(blob[_PRELUDE.size : _PRELUDE.size + header_len])
+        (entry,) = [e for e in meta["sections"] if e["name"] == section]
+        row_bytes = entry["nbytes"] // entry["shape"][0]
+        blob[entry["offset"] : entry["offset"] + row_bytes] = bytes(row_bytes)
+        digest = hashlib.sha256(bytes(blob[_PRELUDE.size :])).digest()
+        blob[: _PRELUDE.size] = _PRELUDE.pack(magic, version, header_len, digest)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactCorruptError, match="empty side"):
+            map_artifact(path)
+
+
 class TestRegistrySidecar:
     """Regressions: quarantine moves the sidecar; healing verifies it."""
 

@@ -445,7 +445,7 @@ class TestFrameCall:
             if rule not in state.table:
                 state.add_rule(rule)
         search = ExactRuleSearch(state, backend="numpy")
-        quantized = _Quantized(state, keep_sign_masks=True)
+        quantized = _Quantized(state)
         universe = search._build_universe(quantized)
         contexts = {
             backend: _BitsetContext(universe, quantized, search.cache, backend)

@@ -180,3 +180,84 @@ def test_corpus_benchmark_tiny_mode(tmp_path):
     exit_code = bench.main(["--tiny", "--output", str(output)])
     assert exit_code == 0
     assert output.exists()
+
+
+def _arrays_of(obj):
+    """Every numpy array an object holds in its attributes, one level deep."""
+    import numpy as np
+
+    values = list(vars(obj).values()) if hasattr(obj, "__dict__") else []
+    values += [getattr(obj, slot) for slot in getattr(obj, "__slots__", ()) if hasattr(obj, slot)]
+    arrays = []
+    for value in values:
+        if isinstance(value, (tuple, list)):
+            arrays += [item for item in value if isinstance(item, np.ndarray)]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
+@pytest.mark.perf_smoke
+def test_cover_state_memory_is_one_bit_per_cell():
+    # Fit-state memory budget: after a few rules on a 20k x (32+32)
+    # dataset, the state holds one bit per cell per plane plus word
+    # padding -- an eighth of the one-byte-per-cell Boolean tables the
+    # dense cover state kept -- and no (n x items) matrix at all.
+    import math
+
+    from repro.core.rules import TranslationRule
+    from repro.core.state import CoverState, ViewPlanes
+    from repro.data.dataset import Side
+    from repro.data.synthetic import SyntheticSpec, generate_planted
+
+    dataset, __ = generate_planted(
+        SyntheticSpec(
+            n_transactions=20_000, n_left=32, n_right=32,
+            density_left=0.2, density_right=0.2, n_rules=8, seed=0,
+        )
+    )
+    state = CoverState(dataset)
+    for lhs, rhs, direction in (
+        ((0, 1), (2,), "<->"), ((3,), (4, 5), "->"), ((6,), (7,), "<-"),
+        ((8, 9), (10, 11), "<->"),
+    ):
+        state.add_rule(TranslationRule(lhs, rhs, direction))
+
+    n = dataset.n_transactions
+    row_bytes = math.ceil(n / 64) * 8
+    # One bit per cell plus the padding of each row's last word: an
+    # eighth of a one-byte-per-cell Boolean table of the same plane.
+    assert row_bytes / n <= (1 / 8) * (1 + 63 / n)
+    planes = {}
+    for side in (Side.LEFT, Side.RIGHT):
+        for field in ViewPlanes.__dataclass_fields__:
+            matrix = getattr(state.planes(side), field)
+            assert matrix.words.nbytes == matrix.n_items * row_bytes
+            planes[id(matrix.words)] = matrix.words
+    per_view = len(ViewPlanes.__dataclass_fields__)
+    n_items = dataset.n_left + dataset.n_right
+    assert sum(words.nbytes for words in planes.values()) <= (
+        per_view * n_items * row_bytes
+    )
+    for array in _arrays_of(state):
+        assert array.size < n, f"dense {array.shape} array kept on the state"
+    # Nor does the native exact search: its context binds the state's
+    # packed planes, and every other array it holds is a vector.
+    from repro import native
+
+    if not native.available():
+        return
+    import numpy as np
+
+    from repro.core.search import ExactRuleSearch, _BitsetContext, _Quantized
+
+    search = ExactRuleSearch(state, backend="native")
+    quantized = _Quantized(state, dense_net=False)
+    context = _BitsetContext(
+        search._build_universe(quantized), quantized, search.cache, "native"
+    )
+    bound = [array for side in context.native._arrays[0] for array in side]
+    for array in _arrays_of(quantized) + _arrays_of(context) + bound:
+        assert array.dtype == np.uint64 or array.ndim == 1, array.shape
+    assert quantized.pos[1] is state.planes(Side.RIGHT).uncovered.words
+    assert quantized.neg[0] is state.planes(Side.LEFT).neg.words

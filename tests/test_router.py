@@ -160,6 +160,28 @@ class TestHttpFraming:
         assert [status for status, __ in good] == [200, 200]
 
 
+    def test_router_answers_oversized_headers(self, registry):
+        from tests.test_serve import OVERSIZED_HEADERS, raw_exchange
+
+        async def scenario():
+            router = make_router(registry, workers=1)
+            await router.start()
+            try:
+                return [
+                    await raw_exchange(router.host, router.port, raw)
+                    for raw, __, __ in OVERSIZED_HEADERS
+                ]
+            finally:
+                await router.stop()
+
+        answers = asyncio.run(scenario())
+        for (status, payload), (__, expected, fragment) in zip(
+            answers, OVERSIZED_HEADERS
+        ):
+            assert status == expected
+            assert fragment in payload["error"]
+
+
 class TestRouting:
     def test_fans_out_json_and_packed_bodies(self, registry):
         async def scenario():

@@ -5,8 +5,8 @@ Covers the three layers of :mod:`repro.serve` — the compiled predictor
 tables, both strategies), artifacts and the registry (hash verification,
 immutable versions, ``latest`` resolution), and the async service
 (micro-batch coalescing, LRU response cache, HTTP round trips) — plus
-the serving-adjacent regressions: the empty-antecedent guard in
-``predict_view`` and the serving CLI commands.
+the serving-adjacent regressions: loaders reject rules with an empty
+side, and the serving CLI commands.
 """
 
 from __future__ import annotations
@@ -151,35 +151,31 @@ class TestCompiledPredictor:
             assert np.array_equal(compiled.predict(batch, strategy=strategy), loop)
 
 
-class _EmptyAntecedentRule:
-    """Duck-typed rule with an empty antecedent (TranslationRule forbids it)."""
+class TestEmptyRuleSide:
+    """A rule side is never empty, so no loaded rule fires on every row.
 
-    def applies_towards(self, target):
-        return True
+    ``TranslationRule`` rejects an empty side with ``ValueError``; every
+    JSON loader builds its rules through it, and artifact payloads wrap
+    the failure as :class:`ArtifactError`.  (The sidecar loader's own
+    check lives in ``tests/test_binfmt.py``.)
+    """
 
-    def antecedent(self, target):
-        return ()
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_table_payload_with_empty_side_is_value_error(self, side):
+        entry = {"lhs": [0], "rhs": [1], "direction": "->"}
+        entry[side] = []
+        with pytest.raises(ValueError, match=f"{side} must be non-empty"):
+            TranslationTable.from_payload([entry])
 
-    def consequent(self, target):
-        return (0,)
-
-
-class TestEmptyAntecedentGuard:
-    def test_loop_engine_skips_with_warning(self):
-        batch = np.zeros((3, 2), dtype=bool)  # nothing should ever fire
-        with pytest.warns(UserWarning, match="empty antecedent"):
-            predicted = predict_view(
-                batch, [_EmptyAntecedentRule()], Side.RIGHT, 2, engine="loop"
-            )
-        assert not predicted.any()
-
-    def test_compiled_engine_skips_with_warning(self):
-        with pytest.warns(UserWarning, match="empty antecedent"):
-            compiled = CompiledPredictor.from_table(
-                [_EmptyAntecedentRule()], Side.RIGHT, 2, 2
-            )
-        assert compiled.n_rules == 0
-        assert not compiled.predict(np.zeros((3, 2), dtype=bool)).any()
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_artifact_payload_with_empty_side_is_artifact_error(
+        self, car_model, side
+    ):
+        dataset, result = car_model
+        payload = ModelArtifact.from_result("car", dataset, result, {}).payload()
+        payload["table"]["rules"][0][side] = []
+        with pytest.raises(ArtifactError, match=f"{side} must be non-empty"):
+            ModelArtifact.from_payload(payload, verify=False)
 
 
 class TestArtifact:
@@ -664,6 +660,29 @@ GOOD_FRAMING = [
 ]
 
 
+#: Oversized request heads: a header line past the stream reader's 64 KiB
+#: limit, or more header lines than the parser accepts, is a 431 (RFC 6585
+#: section 5); a request line past the limit is a 414.
+OVERSIZED_HEADERS = [
+    (
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+        431,
+        "header line",
+    ),
+    (
+        b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 1000 + b"\r\n",
+        431,
+        "header lines",
+    ),
+    (
+        b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+        414,
+        "request line",
+    ),
+]
+OVERSIZED_IDS = ["70KiB-line", "1000-lines", "70KiB-request-line"]
+
+
 async def raw_exchange(host: str, port: int, raw: bytes) -> tuple[int, dict]:
     """Send one raw request; return the status and decoded JSON body."""
     reader, writer = await asyncio.open_connection(host, port)
@@ -704,6 +723,44 @@ class TestHttpFraming:
 
         assert asyncio.run(parse(GOOD_FRAMING[0]))[2] == b""
         assert asyncio.run(parse(GOOD_FRAMING[1]))[2] == b"abc"
+
+    @pytest.mark.parametrize(
+        "raw, status, fragment", OVERSIZED_HEADERS, ids=OVERSIZED_IDS
+    )
+    def test_parser_rejects_oversized_headers(self, raw, status, fragment):
+        from repro.serve.server import _RequestError, read_http_request
+
+        async def parse():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_http_request(reader, 1 << 20)
+
+        with pytest.raises(_RequestError) as caught:
+            asyncio.run(parse())
+        assert caught.value.status == status
+        assert fragment in caught.value.payload["error"]
+
+    def test_server_answers_oversized_headers(self, registry):
+        async def scenario():
+            server = PredictionServer(
+                PredictionService(registry, max_delay_ms=0.0), port=0
+            )
+            await server.start()
+            try:
+                return [
+                    await raw_exchange(server.host, server.port, raw)
+                    for raw, __, __ in OVERSIZED_HEADERS
+                ]
+            finally:
+                await server.stop()
+
+        answers = asyncio.run(scenario())
+        for (status, payload), (__, expected, fragment) in zip(
+            answers, OVERSIZED_HEADERS
+        ):
+            assert status == expected
+            assert fragment in payload["error"]
 
     def test_server_answers_bad_framing(self, registry):
         async def scenario():
