@@ -277,8 +277,10 @@ BACKENDS = ("auto", "numpy", "native")
 # Rows per chunk for the numpy (batch, sets, words) broadcasts; bounds
 # peak memory at ~chunk * n_sets * n_words * 8 B.
 _CHUNK_ROWS = 1024
-# Words per cooccur_grid broadcast chunk (8 MiB of uint64).
-_GRID_WORDS = 1 << 20
+# Words per cooccur_grid / and_popcount_grid broadcast chunk (256 KiB of
+# uint64): small enough to stay in cache and to keep the transient block
+# of a grid far below the operands, large enough to amortise the loop.
+_GRID_WORDS = 1 << 15
 
 
 def _native_available() -> bool:
@@ -499,8 +501,10 @@ def cooccur_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return out
     chunk = max(1, _GRID_WORDS // (n_right * n_words))
     for start in range(0, n_left, chunk):
-        block = left[start : start + chunk, None, :] & right[None, :, :]
-        out[start : start + chunk] = block.any(axis=2)
+        # One expression, so a chunk's block is freed before the next is built.
+        out[start : start + chunk] = (
+            left[start : start + chunk, None, :] & right[None, :, :]
+        ).any(axis=2)
     return out
 
 
@@ -523,9 +527,10 @@ def and_popcount_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return out
     chunk = max(1, _GRID_WORDS // (n_right * n_words))
     for start in range(0, n_left, chunk):
-        block = left[start : start + chunk, None, :] & right[None, :, :]
         out[start : start + chunk] = popcount_rows(
-            block.reshape(-1, n_words)
+            (left[start : start + chunk, None, :] & right[None, :, :]).reshape(
+                -1, n_words
+            )
         ).reshape(-1, n_right)
     return out
 

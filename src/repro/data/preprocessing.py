@@ -190,6 +190,31 @@ def discretize_mdl(
     return _bin_labels(array, edges, attribute)
 
 
+def _encode_categories(values: Sequence[object]) -> tuple[np.ndarray, list[object]]:
+    """Per-row category codes and the categories, in first-appearance order.
+
+    A typed ndarray is coded by :func:`numpy.unique`; any other sequence
+    by hashing, so values that compare equal share a category exactly as
+    they would as ``dict`` keys.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        __, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank[inverse], [values[index] for index in first[order]]
+    categories: dict[object, int] = {}
+    codes = [categories.setdefault(value, len(categories)) for value in values]
+    return np.asarray(codes, dtype=np.intp), list(categories)
+
+
+def _one_hot_block(codes: np.ndarray, n_columns: int) -> np.ndarray:
+    """Boolean block with row ``i`` set in column ``codes[i]``."""
+    block = np.zeros((codes.size, n_columns), dtype=bool)
+    block[np.arange(codes.size), codes] = True
+    return block
+
+
 def one_hot(
     values: Sequence[object], attribute: str = "attr"
 ) -> tuple[np.ndarray, list[str]]:
@@ -198,18 +223,34 @@ def one_hot(
     Returns a Boolean matrix of shape ``(len(values), n_categories)`` and
     the item names ``attribute=value`` in first-appearance order.
     """
-    categories: dict[object, int] = {}
-    for value in values:
-        categories.setdefault(value, len(categories))
-    matrix = np.zeros((len(values), len(categories)), dtype=bool)
-    for row, value in enumerate(values):
-        matrix[row, categories[value]] = True
+    codes, categories = _encode_categories(values)
     names = [f"{attribute}={value}" for value in categories]
-    return matrix, names
+    return _one_hot_block(codes, len(categories)), names
 
 
-def _is_numeric_column(column: Sequence[object]) -> bool:
-    return all(isinstance(value, (int, float)) and not isinstance(value, bool) for value in column)
+def _column_kind(values: Sequence[object]) -> str:
+    """``"flag"``, ``"numeric"`` or ``"category"`` for one frame column.
+
+    A typed ndarray is classified by its dtype kind (``b`` flag;
+    ``i``/``u``/``f`` numeric; anything else a category), any other
+    sequence by its elements, with numpy scalars counting as the Python
+    types they stand for, so a column types the same in either container
+    (an empty column is a flag in both).
+    """
+    if isinstance(values, np.ndarray) and values.size and values.dtype.kind != "O":
+        kind = values.dtype.kind
+        if kind == "b":
+            return "flag"
+        return "numeric" if kind in "iuf" else "category"
+    if all(isinstance(value, (bool, np.bool_)) for value in values):
+        return "flag"
+    if all(
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, (bool, np.bool_))
+        for value in values
+    ):
+        return "numeric"
+    return "category"
 
 
 def _numeric_block(
@@ -243,18 +284,14 @@ def _numeric_block(
         assignments = np.searchsorted(edges[1:-1], finite, side="right")
         n_bins_actual = n_edges - 1
     # First-appearance column order over rows, as one_hot would produce.
-    column_of: dict[int, int] = {}
-    order: list[int] = []
-    for bin_id in assignments:
-        if int(bin_id) not in column_of:
-            column_of[int(bin_id)] = len(order)
-            order.append(int(bin_id))
-    block = np.zeros((array.size, len(order)), dtype=bool)
-    rows = np.flatnonzero(finite_mask)
-    for row, bin_id in zip(rows, assignments):
-        block[row, column_of[int(bin_id)]] = True
+    bins, first = np.unique(assignments, return_index=True)
+    order = bins[np.argsort(first)]
+    column_of = np.empty(n_bins_actual, dtype=np.intp)
+    column_of[order] = np.arange(order.size)
+    block = np.zeros((array.size, order.size), dtype=bool)
+    block[np.flatnonzero(finite_mask), column_of[assignments]] = True
     items: list[ItemSchema] = []
-    for bin_id in order:
+    for bin_id in order.tolist():
         if n_edges < 2:
             lo = hi = float(edges[0])
             closed = True
@@ -287,7 +324,10 @@ def boolean_frame_schema(
     Numeric columns are discretised (``discretize`` is ``"equal-height"``
     or ``"mdl"``) and one-hot encoded, categorical columns one-hot
     encoded, Boolean columns passed through as single flag items — same
-    matrix as :func:`boolean_frame` for NaN-free frames.  Additionally:
+    matrix as :func:`boolean_frame` for NaN-free frames.  An ndarray
+    column is typed by its dtype (bool: flag; integer or float: numeric;
+    anything else: categorical), any other sequence by its values, so
+    the same values type the same in a list or an array.  Additionally:
 
     * numeric values of ``NaN`` simply receive no bin item (their row is
       all-False in that attribute's block) instead of raising;
@@ -313,22 +353,25 @@ def boolean_frame_schema(
         if len(values) != length:
             raise ValueError(f"column {column!r} has inconsistent length")
         unit = units.get(column) if units else None
-        if all(isinstance(value, bool) for value in values):
+        kind = _column_kind(values)
+        if kind == "flag":
             blocks.append(np.asarray(values, dtype=bool).reshape(-1, 1))
             items.append(ItemSchema(name=column, source=column, kind="flag", unit=unit))
             continue
-        if _is_numeric_column(values):
+        if kind == "numeric":
             block, block_items = _numeric_block(values, column, n_bins, discretize, unit)
         else:
-            block, block_names = one_hot(values, attribute=column)
-            seen: dict[object, None] = {}
-            for value in values:
-                seen.setdefault(value, None)
+            codes, categories = _encode_categories(values)
+            block = _one_hot_block(codes, len(categories))
             block_items = [
                 ItemSchema(
-                    name=name, source=column, kind="category", value=value, unit=unit
+                    name=f"{column}={value}",
+                    source=column,
+                    kind="category",
+                    value=value,
+                    unit=unit,
                 )
-                for name, value in zip(block_names, seen)
+                for value in categories
             ]
         blocks.append(block)
         items.extend(block_items)

@@ -1423,7 +1423,8 @@ async def read_http_request(
 
     Body framing follows RFC 9112 section 6.3: a ``Content-Length`` that
     is not a run of ASCII digits, or that disagrees with another one, is
-    a 400 (repeated identical values count as one); any
+    a 400 (repeated identical values count as one); one above
+    ``max_body_bytes`` is a 413, however many digits it has; any
     ``Transfer-Encoding`` is a 501, since only length-delimited bodies
     are implemented.  A header section the parser will not hold is a 431
     (RFC 6585 section 5): a header line longer than the stream reader's
@@ -1469,11 +1470,14 @@ async def read_http_request(
         (length,) = lengths
         if not (length.isascii() and length.isdigit()):
             raise _RequestError(400, {"error": "invalid Content-Length"})
-        content_length = int(length)
-    if content_length > max_body_bytes:
-        raise _RequestError(
-            413,
-            {"error": f"request body exceeds {max_body_bytes} bytes"},
-        )
+        digits = length.lstrip("0") or "0"
+        # Digit counts first: int() of a run past Python's int-string
+        # limit raises a bare ValueError.
+        if len(digits) > len(str(max_body_bytes)) or int(digits) > max_body_bytes:
+            raise _RequestError(
+                413,
+                {"error": f"request body exceeds {max_body_bytes} bytes"},
+            )
+        content_length = int(digits)
     body = await reader.readexactly(content_length) if content_length else b""
     return method, path, body, headers

@@ -1,14 +1,19 @@
-"""FP-Growth frequent itemset mining (Han, Pei & Yin, 2000).
+"""Level-wise and pattern-growth frequent itemset miners, kept as test oracles.
 
-Pattern-growth mining without candidate generation: transactions are
-compressed into an FP-tree (a prefix tree over items sorted by descending
-frequency, with per-item node chains), and frequent itemsets are grown by
-recursively building *conditional* FP-trees for each item's prefix paths.
+Two independent algorithms for the same output as
+:func:`repro.mining.eclat.eclat`, used by ``test_apriori_fpgrowth`` to
+cross-check it:
 
-Provided as the third interchangeable mining backend next to ECLAT and
-Apriori (the test suite asserts all three agree); FP-Growth is typically
-the fastest of the three on dense data with long patterns, which is
-exactly the regime of the paper's denser datasets (House, Tictactoe).
+* :func:`apriori` (Agrawal & Srikant, 1994) — breadth-first
+  generate-and-test: level ``k+1`` candidates are joined from frequent
+  level-``k`` itemsets sharing a ``k-1`` prefix, pruned by the a-priori
+  property (all ``k``-subsets must be frequent), and counted against the
+  data in one vectorised pass per level.
+* :func:`fpgrowth` (Han, Pei & Yin, 2000) — pattern growth without
+  candidate generation: transactions are compressed into an FP-tree (a
+  prefix tree over items sorted by descending frequency, with per-item
+  node chains), and frequent itemsets are grown by recursively building
+  *conditional* FP-trees for each item's prefix paths.
 """
 
 from __future__ import annotations
@@ -18,9 +23,89 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["fpgrowth"]
-
 Itemset = tuple[int, ...]
+
+
+def _join_level(frequent: list[Itemset]) -> list[Itemset]:
+    """Generate k+1 candidates from frequent k-itemsets (prefix join)."""
+    candidates: list[Itemset] = []
+    by_prefix: dict[Itemset, list[int]] = {}
+    for itemset in frequent:
+        by_prefix.setdefault(itemset[:-1], []).append(itemset[-1])
+    for prefix, tails in by_prefix.items():
+        tails.sort()
+        for first_index in range(len(tails)):
+            for second_index in range(first_index + 1, len(tails)):
+                candidates.append(prefix + (tails[first_index], tails[second_index]))
+    return candidates
+
+
+def _prune_candidates(
+    candidates: list[Itemset], frequent_previous: set[Itemset]
+) -> list[Itemset]:
+    """A-priori pruning: every k-subset of a candidate must be frequent."""
+    pruned: list[Itemset] = []
+    for candidate in candidates:
+        if all(
+            candidate[:drop] + candidate[drop + 1 :] in frequent_previous
+            for drop in range(len(candidate))
+        ):
+            pruned.append(candidate)
+    return pruned
+
+
+def apriori(
+    matrix: np.ndarray,
+    minsup: int,
+    max_size: int | None = None,
+    items: Sequence[int] | None = None,
+    max_itemsets: int | None = None,
+) -> list[tuple[Itemset, int]]:
+    """Mine all frequent itemsets level by level.
+
+    Parameters and output format mirror
+    :func:`repro.mining.eclat.eclat`; the two must (and, per the tests,
+    do) produce identical results.
+    """
+    array = np.asarray(matrix)
+    if array.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional")
+    if array.dtype != bool:
+        array = array.astype(bool)
+    if minsup < 1:
+        raise ValueError("minsup must be at least 1 (absolute support)")
+    universe = list(range(array.shape[1])) if items is None else sorted(items)
+
+    results: list[tuple[Itemset, int]] = []
+
+    def check_budget() -> None:
+        if max_itemsets is not None and len(results) > max_itemsets:
+            raise RuntimeError(
+                f"apriori exceeded max_itemsets={max_itemsets}; raise minsup"
+            )
+
+    counts = array.sum(axis=0)
+    level: list[Itemset] = []
+    for item in universe:
+        support = int(counts[item])
+        if support >= minsup:
+            level.append((item,))
+            results.append(((item,), support))
+            check_budget()
+
+    size = 1
+    while level and (max_size is None or size < max_size):
+        size += 1
+        candidates = _prune_candidates(_join_level(level), set(level))
+        next_level: list[Itemset] = []
+        for candidate in candidates:
+            support = int(array[:, candidate].all(axis=1).sum())
+            if support >= minsup:
+                next_level.append(candidate)
+                results.append((candidate, support))
+                check_budget()
+        level = next_level
+    return results
 
 
 @dataclasses.dataclass

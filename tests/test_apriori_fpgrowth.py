@@ -1,6 +1,6 @@
-"""Unit tests for the Apriori and FP-Growth mining backends.
+"""Cross-checks of ECLAT against the Apriori and FP-Growth test oracles.
 
-Both must agree exactly with ECLAT (and hence with brute force, which
+Both oracles must agree exactly with ECLAT (and hence with brute force, which
 ``test_eclat`` establishes) on every input.
 """
 
@@ -11,9 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.mining.apriori import apriori
 from repro.mining.eclat import eclat
-from repro.mining.fpgrowth import fpgrowth
+from tests.oracle_mining import apriori, fpgrowth
 
 MINERS = {"apriori": apriori, "fpgrowth": fpgrowth}
 

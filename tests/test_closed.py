@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.bitset import BitMatrix
 from repro.mining.closed import closed_itemsets, closure
 from tests.test_eclat import brute_force_frequent
 
@@ -104,3 +107,69 @@ class TestProperties:
         matrix = rng.random((5, 3)) < 0.5
         with pytest.raises(ValueError, match="minsup"):
             closed_itemsets(matrix, 0)
+
+
+@st.composite
+def mining_inputs(draw):
+    """Matrices at word boundaries with never- and always-occurring items,
+    plus a minsup (sometimes above ``n``), an item restriction and a size cap."""
+    n = draw(st.sampled_from([1, 63, 64, 65]))
+    n_items = draw(st.integers(min_value=0, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    matrix = rng.random((n, n_items)) < draw(st.floats(min_value=0.1, max_value=0.9))
+    columns = st.lists(st.integers(min_value=0, max_value=max(n_items - 1, 0)), max_size=2)
+    if n_items:
+        matrix[:, draw(columns)] = False
+        matrix[:, draw(columns)] = True
+    minsup = draw(
+        st.integers(min_value=1, max_value=max(1, n // 4))
+        | st.integers(min_value=max(1, n - 1), max_value=n + 1)
+    )
+    items = None
+    if n_items and draw(st.booleans()):
+        items = sorted(draw(st.sets(st.integers(min_value=0, max_value=n_items - 1))))
+    max_size = draw(st.none() | st.integers(min_value=0, max_value=3))
+    return matrix, minsup, items, max_size
+
+
+def brute_force_restricted(matrix, minsup, items, max_size):
+    """Closed itemsets over the ``items`` columns, capped at ``max_size``."""
+    universe = list(range(matrix.shape[1])) if items is None else items
+    return {
+        tuple(universe[item] for item in itemset): support
+        for itemset, support in brute_force_closed(matrix[:, universe], minsup).items()
+        if max_size is None or len(itemset) <= max_size
+    }
+
+
+def mine_or_raise(matrix, minsup, **options):
+    try:
+        return closed_itemsets(matrix, minsup, **options)
+    except RuntimeError as error:
+        return str(error)
+
+
+class TestPackedMatchesReference:
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(case=mining_inputs())
+    def test_packed_bool_and_brute_force_agree(self, case):
+        matrix, minsup, items, max_size = case
+        options = {"items": items, "max_size": max_size}
+        reference = closed_itemsets(matrix, minsup, kernel="bool", **options)
+        assert closed_itemsets(matrix, minsup, **options) == reference
+        injected = closed_itemsets(
+            matrix, minsup, kernel="bitset", bits=BitMatrix.from_bool_columns(matrix),
+            **options,
+        )
+        assert injected == reference
+        assert dict(reference) == brute_force_restricted(matrix, minsup, items, max_size)
+        # Both kernels raise at the same count: one under the output size
+        # raises, the output size itself does not.
+        for budget in {max(len(reference) - 1, 0), len(reference)}:
+            packed = mine_or_raise(matrix, minsup, max_itemsets=budget, **options)
+            assert packed == mine_or_raise(
+                matrix, minsup, kernel="bool", max_itemsets=budget, **options
+            )
+            assert isinstance(packed, str) == (budget < len(reference))

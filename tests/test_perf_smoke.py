@@ -261,3 +261,36 @@ def test_cover_state_memory_is_one_bit_per_cell():
         assert array.dtype == np.uint64 or array.ndim == 1, array.shape
     assert quantized.pos[1] is state.planes(Side.RIGHT).uncovered.words
     assert quantized.neg[0] is state.planes(Side.LEFT).neg.words
+
+
+@pytest.mark.perf_smoke
+def test_closed_miner_memory_stays_near_the_packed_matrix():
+    # One closed_itemsets call on a wide input: 200 items x 100k rows at a
+    # minsup only single items reach, so the root's grid spans all 200 x
+    # 200 item pairs.  A raw (children, items, words) broadcast of it
+    # would be 200x the packed matrix; the chunked grid helper keeps the
+    # miner's peak within a few copies.  Bits are injected so the
+    # transaction-major repack of the Boolean input is not measured.
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.core.bitset import BitMatrix, n_words_for
+    from repro.mining.closed import closed_itemsets
+
+    n, n_items = 100_000, 200
+    rng = np.random.default_rng(0)
+    shape = (n_items, n_words_for(n))
+    words = rng.integers(0, 2**64 - 1, size=shape, dtype=np.uint64, endpoint=True)
+    words &= rng.integers(0, 2**64 - 1, size=shape, dtype=np.uint64, endpoint=True)
+    words[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+    bits = BitMatrix(words, n)
+    matrix = bits.to_bool_columns()
+    tracemalloc.start()
+    try:
+        mined = closed_itemsets(matrix, n // 5, bits=bits)
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [itemset for itemset, __ in mined] == [(item,) for item in range(n_items)]
+    assert peak <= 4 * words.nbytes, f"peak {peak / words.nbytes:.1f}x the packed matrix"

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.preprocessing import (
     boolean_frame,
+    boolean_frame_schema,
     discretize_equal_height,
+    discretize_mdl,
     drop_frequent_items,
     frame_to_two_view,
     one_hot,
@@ -89,6 +93,102 @@ class TestBooleanFrame:
         matrix, names, origins = boolean_frame({})
         assert matrix.shape == (0, 0)
         assert names == [] and origins == []
+
+
+#: One column as a Python list and as another container of the same values.
+SAME_COLUMN = {
+    "int64": ([1, 2, 3, 2, 5, 8], np.array([1, 2, 3, 2, 5, 8])),
+    "uint8": ([1, 2, 3, 2, 5, 8], np.array([1, 2, 3, 2, 5, 8], dtype=np.uint8)),
+    "float32": (
+        [0.5, 1.5, 2.5, 1.5, 4.0, 8.0],
+        np.array([0.5, 1.5, 2.5, 1.5, 4.0, 8.0], dtype=np.float32),
+    ),
+    "float64-nan": (
+        [0.5, float("nan"), 2.5, 1.5, 4.0, 8.0],
+        np.array([0.5, np.nan, 2.5, 1.5, 4.0, 8.0]),
+    ),
+    "bool": (
+        [True, False, True, True, False, False],
+        np.array([True, False, True, True, False, False]),
+    ),
+    "str": (["a", "b", "a", "c", "b", "a"], np.array(["a", "b", "a", "c", "b", "a"])),
+    "int64-scalars": ([1, 2, 3, 2, 5, 8], list(np.array([1, 2, 3, 2, 5, 8]))),
+    "bool-scalars": (
+        [True, False, True, True, False, False],
+        list(np.array([True, False, True, True, False, False])),
+    ),
+}
+
+
+class TestColumnTyping:
+    """A column is typed by its values, whatever container holds them."""
+
+    @pytest.mark.parametrize("values, other", SAME_COLUMN.values(), ids=SAME_COLUMN)
+    def test_list_and_other_container_agree(self, values, other):
+        matrix, schema = boolean_frame_schema({"x": values}, n_bins=3)
+        other_matrix, other_schema = boolean_frame_schema({"x": other}, n_bins=3)
+        np.testing.assert_array_equal(other_matrix, matrix)
+        assert other_matrix.dtype == bool
+        assert other_schema == schema
+
+    def test_integer_array_is_numeric(self):
+        __, schema = boolean_frame_schema({"x": np.array([1, 2, 3, 2])})
+        assert {item.kind for item in schema} == {"numeric"}
+
+    def test_bool_array_is_one_flag(self):
+        matrix, schema = boolean_frame_schema({"x": np.array([True, False, True])})
+        assert [item.kind for item in schema] == ["flag"]
+        assert matrix[:, 0].tolist() == [True, False, True]
+
+
+def one_hot_loop(values):
+    """Reference one-hot encoding: one dict pass, one row-by-row fill."""
+    categories = {}
+    for value in values:
+        categories.setdefault(value, len(categories))
+    matrix = np.zeros((len(values), len(categories)), dtype=bool)
+    for row, value in enumerate(values):
+        matrix[row, categories[value]] = True
+    return matrix, list(categories)
+
+
+class TestMatchesLoopReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from(["a", "b", "c", 1, 2.5, None, True]), max_size=30
+        ),
+        as_array=st.booleans(),
+    )
+    def test_one_hot(self, values, as_array):
+        if as_array:
+            values = np.array([str(value) for value in values])
+        matrix, names = one_hot(values, attribute="x")
+        expected, categories = one_hot_loop(values)
+        np.testing.assert_array_equal(matrix, expected)
+        assert names == [f"x={value}" for value in categories]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 8.0]), min_size=1, max_size=40
+        ),
+        n_bins=st.integers(min_value=1, max_value=6),
+        method=st.sampled_from(["equal-height", "mdl"]),
+    )
+    def test_numeric_block_is_one_hot_of_bin_labels(self, values, n_bins, method):
+        if method == "mdl":
+            labels, __ = discretize_mdl(
+                values, attribute="x", max_bins=max(2 * n_bins, 2)
+            )
+        else:
+            labels, __ = discretize_equal_height(values, n_bins=n_bins, attribute="x")
+        matrix, schema = boolean_frame_schema(
+            {"x": values}, n_bins=n_bins, discretize=method
+        )
+        expected, categories = one_hot_loop(labels)
+        np.testing.assert_array_equal(matrix, expected)
+        assert schema.names == categories
 
 
 class TestDropFrequent:

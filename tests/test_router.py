@@ -181,6 +181,24 @@ class TestHttpFraming:
             assert status == expected
             assert fragment in payload["error"]
 
+    def test_router_answers_huge_length_413(self, registry):
+        from tests.test_serve import HUGE_LENGTH, ZERO_PADDED_LENGTH, raw_exchange
+
+        async def scenario():
+            router = make_router(registry, workers=1)
+            await router.start()
+            try:
+                return [
+                    await raw_exchange(router.host, router.port, raw)
+                    for raw in (HUGE_LENGTH, ZERO_PADDED_LENGTH)
+                ]
+            finally:
+                await router.stop()
+
+        (huge, payload), (padded, __) = asyncio.run(scenario())
+        assert huge == 413 and "exceeds" in payload["error"]
+        assert padded == 200
+
 
 class TestRouting:
     def test_fans_out_json_and_packed_bodies(self, registry):

@@ -16,6 +16,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.predict import predict_view
 from repro.core.rules import TranslationRule
@@ -682,6 +684,46 @@ OVERSIZED_HEADERS = [
 ]
 OVERSIZED_IDS = ["70KiB-line", "1000-lines", "70KiB-request-line"]
 
+#: A Content-Length longer than Python's int-string limit (4300 digits)
+#: is still just a body too large (413), and leading zeros do not count
+#: towards that limit: ``000...03`` frames a 3-byte body.
+HUGE_LENGTH = b"POST /predict HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+ZERO_PADDED_LENGTH = (
+    b"GET /healthz HTTP/1.1\r\nContent-Length: " + b"0" * 5000 + b"3\r\n\r\nabc"
+)
+
+
+_LINE_ENDS = st.sampled_from([b"\r\n", b"\n"])
+_HEADER_NAMES = st.sampled_from(
+    [b"Content-Length", b"content-length", b"Transfer-Encoding", b"Host", b"X-Any"]
+)
+_HEADER_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=100).map(lambda n: str(n).encode()),
+    st.from_regex(rb"\A[0-9 ,+\-]{0,12}\Z"),
+    st.integers(min_value=4000, max_value=6000).map(lambda n: b"0" * n + b"1"),
+    st.integers(min_value=4000, max_value=6000).map(lambda n: b"9" * n),
+    st.binary(max_size=24),
+)
+
+
+@st.composite
+def http_streams(draw) -> bytes:
+    """Byte streams a client might send: raw noise, or a request head with
+    fuzzed framing headers and a body, possibly cut short."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=256))
+    method = draw(st.sampled_from([b"GET", b"POST", b"BREW"]) | st.binary(max_size=8))
+    path = draw(st.sampled_from([b"/predict", b"/healthz"]) | st.binary(max_size=16))
+    end = draw(_LINE_ENDS)
+    headers = draw(st.lists(st.tuples(_HEADER_NAMES, _HEADER_VALUES), max_size=6))
+    raw = (
+        method + b" " + path + b" HTTP/1.1" + end
+        + b"".join(name + b": " + value + end for name, value in headers)
+        + end
+        + draw(st.binary(max_size=64))
+    )
+    return raw[: draw(st.integers(min_value=0, max_value=len(raw)))]
+
 
 async def raw_exchange(host: str, port: int, raw: bytes) -> tuple[int, dict]:
     """Send one raw request; return the status and decoded JSON body."""
@@ -740,6 +782,62 @@ class TestHttpFraming:
             asyncio.run(parse())
         assert caught.value.status == status
         assert fragment in caught.value.payload["error"]
+
+    def test_parser_answers_huge_length_413(self):
+        from repro.serve.server import _RequestError, read_http_request
+
+        async def parse(raw):
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_http_request(reader, 1 << 20)
+
+        with pytest.raises(_RequestError) as caught:
+            asyncio.run(parse(HUGE_LENGTH))
+        assert caught.value.status == 413
+        assert asyncio.run(parse(ZERO_PADDED_LENGTH))[2] == b"abc"
+
+    def test_server_answers_huge_length_413(self, registry):
+        async def scenario():
+            server = PredictionServer(
+                PredictionService(registry, max_delay_ms=0.0), port=0
+            )
+            await server.start()
+            try:
+                return [
+                    await raw_exchange(server.host, server.port, raw)
+                    for raw in (HUGE_LENGTH, ZERO_PADDED_LENGTH)
+                ]
+            finally:
+                await server.stop()
+
+        (huge, payload), (padded, __) = asyncio.run(scenario())
+        assert huge == 413 and "exceeds" in payload["error"]
+        assert padded == 200
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(raw=http_streams(), max_body_bytes=st.sampled_from([0, 32, 1 << 20]))
+    def test_parser_fuzz_has_only_defined_outcomes(self, raw, max_body_bytes):
+        from repro.serve.server import _RequestError, read_http_request
+
+        async def parse():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_http_request(reader, max_body_bytes)
+
+        try:
+            method, path, body, headers = asyncio.run(parse())
+        except _RequestError as error:
+            assert error.status in {400, 413, 414, 431, 501}
+        except asyncio.IncompleteReadError:
+            pass  # the stream ended inside the announced body
+        else:
+            assert isinstance(method, str) and isinstance(path, str)
+            assert len(body) <= max_body_bytes
+            assert all(name == name.lower() for name in headers)
 
     def test_server_answers_oversized_headers(self, registry):
         async def scenario():
