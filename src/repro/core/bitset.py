@@ -277,9 +277,10 @@ BACKENDS = ("auto", "numpy", "native")
 # Rows per chunk for the numpy (batch, sets, words) broadcasts; bounds
 # peak memory at ~chunk * n_sets * n_words * 8 B.
 _CHUNK_ROWS = 1024
-# Words per cooccur_grid / and_popcount_grid broadcast chunk (256 KiB of
-# uint64): small enough to stay in cache and to keep the transient block
-# of a grid far below the operands, large enough to amortise the loop.
+# Target words per cooccur_grid / and_popcount_grid broadcast chunk (256 KiB
+# of uint64): small enough to stay in cache, large enough to amortise the
+# loop.  A chunk covers at least one left row, so it holds at most
+# max(_GRID_WORDS, n_right * n_words) words.
 _GRID_WORDS = 1 << 15
 
 
@@ -487,8 +488,8 @@ def cooccur_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     transactions (e.g. the :class:`BitMatrix` words of the two views);
     entry ``(a, b)`` is true iff some transaction holds both, i.e. the
     exact packed form of ``(L.T @ R) > 0`` for the Boolean views ``L``
-    and ``R``.  The word-level AND is chunked over ``left`` rows so the
-    broadcast stays near ``_GRID_WORDS`` words.
+    and ``R``.  The word-level AND is chunked over ``left`` rows so a
+    broadcast holds at most ``max(_GRID_WORDS, n_right * n_words)`` words.
     """
     left = np.ascontiguousarray(left, dtype=np.uint64)
     right = np.ascontiguousarray(right, dtype=np.uint64)

@@ -193,16 +193,9 @@ def discretize_mdl(
 def _encode_categories(values: Sequence[object]) -> tuple[np.ndarray, list[object]]:
     """Per-row category codes and the categories, in first-appearance order.
 
-    A typed ndarray is coded by :func:`numpy.unique`; any other sequence
-    by hashing, so values that compare equal share a category exactly as
-    they would as ``dict`` keys.
+    Values that compare equal share a category exactly as they would as
+    ``dict`` keys.
     """
-    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
-        __, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return rank[inverse], [values[index] for index in first[order]]
     categories: dict[object, int] = {}
     codes = [categories.setdefault(value, len(categories)) for value in values]
     return np.asarray(codes, dtype=np.intp), list(categories)

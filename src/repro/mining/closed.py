@@ -29,10 +29,13 @@ Supports and closures are exact either way, so both kernels return the
 same itemsets in the same order and raise at the same ``max_itemsets``.
 
 Memory of the packed kernel: one ``(live items, words)`` block and one
-chunk of the grid helper (about ``2**20`` words) exist at a time, and
-each recursion level keeps its ``(children, live items)`` count grid, two
-Boolean masks of that shape and one tidset, so what is held besides the packed matrix grows with the
-recursion depth and the item count, not with the transaction count.
+chunk of the grid helper exist at a time; a chunk holds at most
+``max(_GRID_WORDS, live items * words)`` words (``_GRID_WORDS`` is set in
+:mod:`repro.core.bitset`), as it covers at least one extension row.  Each
+recursion level keeps its ``(children, live items)`` count grid, two
+Boolean masks of that shape and one tidset, so what is held besides the
+packed matrix grows with the recursion depth and the item count, not with
+the transaction count.
 """
 
 from __future__ import annotations
